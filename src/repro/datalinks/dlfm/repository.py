@@ -14,18 +14,23 @@ Tables
                     managed file, used to reject conflicting opens and
                     unlink operations.
 ``token_entries``   token registry of Section 4.1: one row per validated
-                    token, keyed by user id (not process id).
+                    token, keyed by user id (not process id).  Indexed on
+                    ``(path, userid)``, so a probe enumerates only that
+                    user's entries for the file; ids come from a
+                    primary-key probe, so registering costs the same
+                    however large the registry has grown.  Expired
+                    entries stay until housekeeping purges them.
 ``update_tracking`` files with an update in progress (Section 4.4) and the
                     pre-update attributes needed to detect modification.
 ``file_versions``   committed versions with their archive object and the
                     database state identifier they belong to.
 ``archive_queue``   pending asynchronous archive jobs; a pending job blocks
-                    further updates of the same file.
+                    further updates of the same file.  A job's row is
+                    deleted when it completes.
 """
 
 from __future__ import annotations
 
-from repro.storage import database as database_module
 from repro.storage.database import Database
 from repro.storage.schema import Column, TableSchema
 from repro.storage.transaction import Transaction
@@ -79,7 +84,8 @@ class DLFMRepository:
             Column("token_type", DataType.TEXT, nullable=False),      # "R" | "W"
             Column("expires_at", DataType.TIMESTAMP, nullable=False),
         ], ("entry_id",)))
-        db.create_index("token_entries_path", "token_entries", ("path",))
+        db.create_index("token_entries_path_user", "token_entries",
+                        ("path", "userid"))
 
         db.create_table(_table("update_tracking", [
             Column("path", DataType.TEXT, nullable=False),
@@ -103,7 +109,6 @@ class DLFMRepository:
         db.create_table(_table("archive_queue", [
             Column("job_id", DataType.INTEGER, nullable=False),
             Column("path", DataType.TEXT, nullable=False),
-            Column("state", DataType.TEXT, nullable=False, default="PENDING"),
             Column("state_id", DataType.INTEGER, nullable=False, default=0),
             Column("created_at", DataType.TIMESTAMP, nullable=False, default=0.0),
         ], ("job_id",)))
@@ -145,25 +150,14 @@ class DLFMRepository:
 
     # ------------------------------------------------------------------ helpers --
     def _next_id(self, table: str, column: str) -> int:
-        if database_module.FAST_SCANS:
-            # ``scan_max`` charges exactly what the reference full-table
-            # select below charges, but serves the maximum from a tracker
-            # keyed to the heap's mutation counter -- this runs on every
-            # sync-entry / token-entry registration, over tables that only
-            # ever grow, so the reference path is quadratic in run length.
-            best = self.db.scan_max(table, column)
-            return best + 1 if best is not None and best > 0 else 1
-        rows = self.db.select(table, lock=False)
-        if not rows:
-            return 1
-        # Explicit loop: a genexpr under ``max`` costs a resumed frame per
-        # row, and this runs on every sync-entry / token-entry registration.
-        best = 0
-        for row in rows:
-            value = row[column]
-            if value > best:
-                best = value
-        return best + 1
+        """``MAX(column) + 1`` over *table*'s primary key (1 when empty).
+
+        One statement and one index probe, however large the table: this
+        runs on every Sync-entry and token-entry registration.
+        """
+
+        best = self.db.scan_max(table, column)
+        return best + 1 if best is not None and best > 0 else 1
 
     # ------------------------------------------------------------ linked files --
     def insert_linked_file(self, row: dict, txn: Transaction | None = None) -> None:
@@ -322,22 +316,20 @@ class DLFMRepository:
         self.db.insert("archive_queue", {
             "job_id": job_id,
             "path": path,
-            "state": "PENDING",
             "state_id": state_id,
             "created_at": self.db.now(),
         }, txn)
         return job_id
 
     def pending_archive_jobs(self, path: str | None = None) -> list[dict]:
-        where = {"state": "PENDING"}
-        if path is not None:
-            where["path"] = path
+        where = {"path": path} if path is not None else None
         rows = self.db.select("archive_queue", where, lock=False)
         return sorted(rows, key=lambda row: row["job_id"])
 
     def complete_archive_job(self, job_id: int) -> int:
-        return self.db.update("archive_queue", {"job_id": job_id}, {"state": "DONE"})
+        """Retire a finished job; the queue holds pending jobs only."""
+
+        return self.db.delete("archive_queue", {"job_id": job_id})
 
     def cancel_archive_jobs(self, path: str) -> int:
-        return self.db.delete("archive_queue",
-                              lambda row: row["path"] == path and row["state"] == "PENDING")
+        return self.db.delete("archive_queue", {"path": path})

@@ -479,21 +479,25 @@ class WitnessSoftState:
     """
 
     def __init__(self):
+        #: Token entries in registration order (purge and promotion-time
+        #: migration walk them in this order) ...
         self.token_entries: list[dict] = []
+        #: ... and the same entries keyed by ``(path, userid)``, so a probe
+        #: walks only that user's entries for the file.
+        self._tokens_by_key: dict[tuple, list[dict]] = {}
         self.sync_entries: list[dict] = []
 
     # ----------------------------------------------------------------- tokens --
     def add_token_entry(self, path: str, userid: int, token_type: str,
                         expires_at: float) -> None:
-        self.token_entries.append({"path": path, "userid": userid,
-                                   "token_type": token_type,
-                                   "expires_at": expires_at})
+        entry = {"path": path, "userid": userid, "token_type": token_type,
+                 "expires_at": expires_at}
+        self.token_entries.append(entry)
+        self._tokens_by_key.setdefault((path, userid), []).append(entry)
 
     def find_token_entry(self, path: str, userid: int, *, for_write: bool,
                          now: float) -> dict | None:
-        for entry in self.token_entries:
-            if entry["path"] != path or entry["userid"] != userid:
-                continue
+        for entry in self._tokens_by_key.get((path, userid), ()):
             if entry["expires_at"] < now:
                 continue
             if for_write and entry["token_type"] != "W":
@@ -505,6 +509,10 @@ class WitnessSoftState:
         before = len(self.token_entries)
         self.token_entries = [entry for entry in self.token_entries
                               if entry["expires_at"] >= now]
+        self._tokens_by_key = {
+            key: live for key, entries in self._tokens_by_key.items()
+            if (live := [entry for entry in entries
+                         if entry["expires_at"] >= now])}
         return before - len(self.token_entries)
 
     # ------------------------------------------------------------ sync entries --
@@ -525,6 +533,7 @@ class WitnessSoftState:
 
     def clear(self) -> None:
         self.token_entries.clear()
+        self._tokens_by_key.clear()
         self.sync_entries.clear()
 
 

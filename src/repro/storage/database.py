@@ -26,6 +26,7 @@ from repro.errors import (
     DuplicateKeyError,
     NoSuchTableError,
     PreparedStateError,
+    SchemaError,
     TransactionNotActive,
 )
 from repro.simclock import SimClock
@@ -41,12 +42,10 @@ from repro.util.lsn import LSN
 
 SYSTEM_TXN_ID = 0
 
-#: Gates the statement fast paths that bypass the general scan machinery:
-#: the point-SELECT short cut in :meth:`Database.select` and the cached
-#: column-maximum scan behind :meth:`Database.scan_max` callers.  ``False``
-#: routes every statement through the reference implementation; both modes
-#: produce bit-identical rows and simulated charges (see
-#: tests/test_bulk_fastpaths.py).
+#: Gates the point-SELECT short cut in :meth:`Database.select`, which
+#: bypasses the general scan machinery.  ``False`` routes every select
+#: through the reference implementation; both modes produce bit-identical
+#: rows and simulated charges (see tests/test_bulk_fastpaths.py).
 FAST_SCANS = True
 
 
@@ -112,12 +111,12 @@ class Database:
         #: Extended per-table plans (:class:`_TablePlan`), validated against
         #: the catalog's version counter on every probe.
         self._plans: dict[str, _TablePlan] = {}
-        #: ``{table: {column: (max_value, heap_mutations_seen)}}`` -- the
-        #: cached scan maxima behind :meth:`scan_max`.  A cached entry is
-        #: valid only while its heap's mutation counter is unchanged, so
-        #: writes that bypass this facade (replication redo, recovery,
-        #: rollback) invalidate it implicitly.
-        self._max_trackers: dict[str, dict[str, tuple]] = {}
+        #: ``{table: (max_primary_key, heap_mutations_seen)}`` -- the cached
+        #: key maxima behind :meth:`scan_max`.  A cached entry is valid only
+        #: while its heap's mutation counter is unchanged, so writes that
+        #: bypass this facade (replication redo, recovery, rollback)
+        #: invalidate it implicitly.
+        self._max_trackers: dict[str, tuple] = {}
         # Primed per-statement charge amounts (see _prime_charges).
         self._primed_charge_clock = None
         self._amt_stmt = 0.0
@@ -580,21 +579,19 @@ class Database:
                 acquire(txn_id, ("key", table, key), LockMode.EXCLUSIVE)
                 locks_taken = 1
             rid = plan.heap.insert(normalized)
-            trackers = self._max_trackers.get(table)
-            if trackers:
-                # Keep warm scan maxima warm: if nothing else touched the
-                # heap since the tracker was taken, this insert's value is
-                # the only candidate for a new maximum.  Otherwise leave the
+            tracker = self._max_trackers.get(table)
+            if tracker is not None:
+                # Keep a warm key maximum warm: if nothing else touched the
+                # heap since the tracker was taken, this insert's key is the
+                # only candidate for a new maximum.  Otherwise leave the
                 # tracker stale -- scan_max rescans on the counter mismatch.
                 heap_mutations = plan.heap.mutations
-                for column, cached in trackers.items():
-                    if cached[1] == heap_mutations - 1:
-                        best = cached[0]
-                        value = normalized[column]
-                        if best is None or \
-                                (value is not None and value > best):
-                            best = value
-                        trackers[column] = (best, heap_mutations)
+                if tracker[1] == heap_mutations - 1:
+                    best = tracker[0]
+                    value = normalized[pk_single]
+                    if best is None or value > best:
+                        best = value
+                    self._max_trackers[table] = (best, heap_mutations)
             acquire(txn_id, ("row", table, rid), LockMode.EXCLUSIVE)
             locks_taken += 1
             for index in plan.indexes:
@@ -876,19 +873,32 @@ class Database:
         return matched
 
     def scan_max(self, table: str, column: str):
-        """Maximum of *column* over *table*'s live rows (``None`` if empty).
+        """``MAX(column)`` over *table*'s live rows (``None`` if empty).
 
-        Charged exactly like the unlocked full-table ``select`` a caller
-        would otherwise issue -- one ``sql_statement_base`` plus a
-        ``row_read`` per live row -- but the value comes from a cached
-        per-column maximum validated against the heap's mutation counter,
-        so repeated scans of a monotonically growing table (the DLFM's id
-        allocation) stop re-walking every row.  A mutation that bypassed
-        this facade (replication redo, recovery, rollback, snapshot
-        restore) bumps the counter and forces a rescan, so the cached
-        maximum can never go stale.
+        Modelled the way a DBMS answers ``MAX`` over an indexed column (or
+        draws from a sequence): one ``sql_statement_base`` plus one
+        ``index_probe`` on the high end of the index, whatever the table's
+        size.  *column* must therefore be the table's single-column primary
+        key, so no caller gets an unindexed column's maximum at probe price.
+
+        The value comes from a cached per-table key maximum validated
+        against the heap's mutation counter.  A mutation that bypassed this facade
+        (replication redo, recovery, rollback, snapshot restore) bumps the
+        counter and forces a rescan, so the cached maximum can never go
+        stale and ids allocated from it stay unique.
         """
 
+        try:
+            plan = self._plans[table]
+        except KeyError:
+            plan = self._build_plan(table)
+        else:
+            catalog = self.catalog
+            if plan.catalog is not catalog or plan.version != catalog.version:
+                plan = self._build_plan(table)
+        if column != plan.pk_single:
+            raise SchemaError(f"scan_max: {table}.{column} is not the "
+                              f"table's single-column primary key")
         clock = self.clock
         if clock is not None:
             if self._primed_charge_clock is not clock:
@@ -912,32 +922,18 @@ class Database:
                     cell[1] += amount
                 except KeyError:
                     mcells[key] = [1, amount]
-        try:
-            plan = self._plans[table]
-        except KeyError:
-            plan = self._build_plan(table)
-        else:
-            catalog = self.catalog
-            if plan.catalog is not catalog or plan.version != catalog.version:
-                plan = self._build_plan(table)
-        rows = plan.rows
-        if clock is not None and rows:
-            clock.charge_run("row_read", len(rows), scale=self.cost_scale,
-                             label=self._read_label)
+            clock.charge("index_probe", scale=self.cost_scale,
+                         label=self._probe_label)
         mutations = plan.heap.mutations
-        trackers = self._max_trackers.get(table)
-        if trackers is None:
-            trackers = self._max_trackers[table] = {}
-        else:
-            cached = trackers.get(column)
-            if cached is not None and cached[1] == mutations:
-                return cached[0]
+        cached = self._max_trackers.get(table)
+        if cached is not None and cached[1] == mutations:
+            return cached[0]
         best = None
-        for row in rows.values():
+        for row in plan.rows.values():
             value = row[column]
-            if value is not None and (best is None or value > best):
+            if best is None or value > best:
                 best = value
-        trackers[column] = (best, mutations)
+        self._max_trackers[table] = (best, mutations)
         return best
 
     def update(self, table: str, where, changes: dict,
@@ -1127,7 +1123,7 @@ class Database:
                             break
                     if not complete:
                         continue
-                    key = tuple(bindings[column] for column in columns)
+                    key = index.key_of(bindings)
                 if entries is not None:
                     try:
                         bucket = entries[key]

@@ -5,7 +5,9 @@ import pytest
 from repro.datalinks.control_modes import ControlMode
 from repro.errors import ControlModeError, Errno, FileSystemError
 from repro.fs.vfs import OpenFlags
-from tests.conftest import BOB_UID, FILES_TABLE, build_system
+from repro.simclock import ClockStats
+from repro.util.urls import parse_url
+from tests.conftest import ALICE_UID, BOB_UID, FILES_TABLE, build_system
 
 
 class TestReadAccess:
@@ -53,6 +55,38 @@ class TestReadAccess:
         before = system.clocks.stats.count("upcall_round_trip")
         alice.fs("fs1").read_file(paths[0])
         assert system.clocks.stats.count("upcall_round_trip") == before
+
+
+class TestTokenRegistryCost:
+    """Registering and probing a token entry costs the same simulated time
+    however large the DLFM's token registry has grown (Section 4.1: the
+    read path is meant to be almost free of database work)."""
+
+    @staticmethod
+    def _validation_ledger(registry_size: int) -> dict:
+        system, alice, paths, _ = build_system(ControlMode.RDD)
+        dlfm = system.file_server("fs1").dlfm
+        # Other users' entries for the same file and the same user's
+        # entries for other files: neither may enter the probe's cost.
+        dlfm.repository.db.insert_many("token_entries", [
+            {"entry_id": 1000 + index,
+             "path": paths[0] if index % 2 else f"/other/f{index}.dat",
+             "userid": 5000 + index if index % 2 else ALICE_UID,
+             "token_type": "R", "expires_at": 1e9}
+            for index in range(registry_size)])
+        url = alice.get_datalink(FILES_TABLE, {"doc_id": 0}, "body",
+                                 access="read")
+        ino = dlfm.repository.linked_file(paths[0])["ino"]
+        dlfm.clock.stats = ClockStats()      # a fresh ledger for the probe
+        dlfm.upcall_validate_token(ino, parse_url(url).token, ALICE_UID)
+        dlfm.upcall_check_open(ino, False, ALICE_UID)
+        return {label: cell for label, cell in dlfm.clock.stats.charges.items()
+                if label.startswith("dlfm.")}
+
+    def test_validation_cost_is_independent_of_registry_size(self):
+        small = self._validation_ledger(10)
+        assert small
+        assert self._validation_ledger(5_000) == small
 
 
 class TestWriteAccess:

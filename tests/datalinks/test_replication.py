@@ -7,11 +7,17 @@ property test (test_recovery_and_backup.py / test_shard_properties.py)
 cover the composed failure behaviour.
 """
 
+import random
+
 import pytest
 
 from repro.datalinks.control_modes import ControlMode
 from repro.datalinks.datalink_type import DatalinkOptions, datalink_column
-from repro.datalinks.replication import EpochGuard, EpochRegistry
+from repro.datalinks.replication import (
+    EpochGuard,
+    EpochRegistry,
+    WitnessSoftState,
+)
 from repro.datalinks.sharding import ShardedDataLinksDeployment
 from repro.errors import DaemonUnavailableError, FencedNodeError, ReproError
 from repro.storage.schema import Column, TableSchema
@@ -158,6 +164,40 @@ class TestWalShipping:
         witness_versions = replica.witness.dlfm.repository.versions(path)
         assert [v["archive_id"] for v in witness_versions] == \
             [v["archive_id"] for v in primary_versions]
+
+    def test_archive_queue_holds_only_pending_jobs(self):
+        """A completed archive job's row is deleted, and the delete ships:
+        after many update/archive cycles the queue on the primary and on
+        its witness holds exactly the jobs still pending."""
+
+        deployment, session = build_deployment(mode=ControlMode.RDD,
+                                               recovery=True)
+        replica = deployment.replicas["shard0"]
+        paths = [path_on(deployment, "shard0", tag) for tag in ("aqa", "aqb")]
+        for doc_id, path in enumerate(paths):
+            link(deployment, session, doc_id, path, b"v0")
+        cycles = 6
+        for cycle in range(cycles):
+            deployment.system.run_archiver()
+            for doc_id in range(len(paths)):
+                write_url = session.get_datalink(TABLE, {"doc_id": doc_id},
+                                                 "body", access="write",
+                                                 ttl=1e9)
+                with session.update_file(write_url, truncate=True) as update:
+                    update.write(f"v{cycle + 1}".encode())
+        deployment.system.flush_logs()
+
+        primary_repo = deployment.shard("shard0").dlfm.repository
+        witness_repo = replica.witness.dlfm.repository
+        pending = [(job["job_id"], job["path"])
+                   for job in primary_repo.pending_archive_jobs()]
+        assert sorted(path for _, path in pending) == sorted(paths)
+        for repo in (primary_repo, witness_repo):
+            rows = repo.db.select("archive_queue", lock=False)
+            assert sorted((row["job_id"], row["path"]) for row in rows) == \
+                pending
+        # the link's version plus every update but the last (still pending)
+        assert len(primary_repo.versions(paths[0])) == cycles
 
     def test_aborted_transactions_never_reach_witness_heaps(self):
         deployment, session = build_deployment()
@@ -631,6 +671,75 @@ class TestFollowerReads:
         assert routing["reads_by_role"]["witness"] == 0
         with pytest.raises(ReproError):
             session.read_url(url, server="shard0-r")
+
+
+class _FlatTokenList:
+    """Reference witness token registry: one flat list, scanned in full."""
+
+    def __init__(self):
+        self.entries = []
+
+    def add(self, path, userid, token_type, expires_at):
+        self.entries.append({"path": path, "userid": userid,
+                             "token_type": token_type,
+                             "expires_at": expires_at})
+
+    def find(self, path, userid, *, for_write, now):
+        for entry in self.entries:
+            if entry["path"] != path or entry["userid"] != userid:
+                continue
+            if entry["expires_at"] < now:
+                continue
+            if for_write and entry["token_type"] != "W":
+                continue
+            return entry
+        return None
+
+    def purge(self, now):
+        before = len(self.entries)
+        self.entries = [entry for entry in self.entries
+                        if entry["expires_at"] >= now]
+        return before - len(self.entries)
+
+
+class TestWitnessSoftStateMatchesFlatList:
+    """The keyed witness registry answers every probe with the entry the
+    flat list would, purges the same entries, and keeps registration order
+    for the promotion-time migration."""
+
+    @pytest.mark.parametrize("seed", [3, 1789, 20261017])
+    def test_find_purge_and_migration_order(self, seed):
+        rng = random.Random(seed)
+        soft, flat = WitnessSoftState(), _FlatTokenList()
+        now = 0.0
+        finds = purges = 0
+        for _ in range(800):
+            now += rng.random()
+            path, userid = f"/p{rng.randrange(5)}.dat", 1000 + rng.randrange(4)
+            action = rng.random()
+            if action < 0.5:
+                token_type = rng.choice("RW")
+                expires_at = now + rng.uniform(0.0, 40.0)
+                soft.add_token_entry(path, userid, token_type, expires_at)
+                flat.add(path, userid, token_type, expires_at)
+            elif action < 0.9:
+                for_write = rng.random() < 0.3
+                probe = now + rng.uniform(-5.0, 20.0)
+                found = soft.find_token_entry(path, userid,
+                                              for_write=for_write, now=probe)
+                assert found == flat.find(path, userid, for_write=for_write,
+                                          now=probe)
+                finds += found is not None
+            elif action < 0.99:
+                purged = soft.purge_expired_tokens(now)
+                assert purged == flat.purge(now)
+                purges += purged
+            else:
+                soft.clear()
+                flat.entries.clear()
+            # promotion migrates ``token_entries`` in this order
+            assert soft.token_entries == flat.entries
+        assert finds and purges
 
 
 class TestMultiWitness:

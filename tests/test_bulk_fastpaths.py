@@ -3,7 +3,7 @@
 Three module flags gate the million-link-tier fast paths:
 
 * :data:`repro.storage.database.FAST_SCANS` -- the unlocked point-SELECT
-  short cut and the cached ``scan_max`` used by the DLFM's id allocation;
+  short cut;
 * :data:`repro.datalinks.engine.BULK_TOKEN_HANDOUT` -- the batched
   ``get_datalink_many`` host transaction that mints a whole read plan's
   tokens without the per-call session/engine dispatch frames;
@@ -28,6 +28,7 @@ import pytest
 import repro.datalinks.engine as engine_module
 import repro.storage.database as database_module
 import repro.workloads.audit as audit_module
+from repro.errors import SchemaError
 from repro.simclock import SimClock
 from repro.storage.database import Database
 from repro.storage.schema import Column, TableSchema
@@ -75,16 +76,16 @@ def _make_docs_db(clock=None) -> Database:
 
 
 class TestScanMaxIdentity:
-    """``scan_max`` vs a full-scan select, across arbitrary mutations.
+    """``scan_max`` vs a full-scan maximum, across arbitrary mutations.
 
-    Twin databases run one seeded mutation program; at every probe step
-    one computes the maximum through :meth:`Database.scan_max` and the
-    other through the unlocked full-table ``select`` it replaces.  The
-    values, the charge ledgers, and the clocks must stay identical --
-    including across mutations that bypass the Database facade entirely
-    (direct heap inserts, the way replication redo lands rows), which
-    must invalidate the cached maximum through the heap's mutation
-    counter.
+    One seeded mutation program runs against a database; at every probe
+    step the value :meth:`Database.scan_max` returns for the primary key
+    must equal the maximum over a full scan -- including across mutations
+    that bypass the Database facade entirely (direct heap inserts, the way
+    replication redo lands rows), which must invalidate the cached maximum
+    through the heap's mutation counter.  Every probe is charged like a
+    DBMS ``MAX(pk)``: exactly one ``sql_statement_base`` and one
+    ``index_probe``, however many rows the table holds.
     """
 
     def _program(self, seed: int):
@@ -112,41 +113,59 @@ class TestScanMaxIdentity:
 
     @pytest.mark.parametrize("seed", [11, 20260807, 555001])
     def test_matches_full_scan_reference(self, seed):
-        fast = _make_docs_db()
-        reference = _make_docs_db()
+        db = _make_docs_db()
+        heap = db._plan("docs").heap
+        probes = 0
         for op in self._program(seed):
             if op[0] == "insert":
-                row = {"k": op[1], "v": op[2], "w": op[1] % 7}
-                fast.insert("docs", row)
-                reference.insert("docs", row)
+                db.insert("docs", {"k": op[1], "v": op[2], "w": op[1] % 7})
             elif op[0] == "delete":
-                fast.delete("docs", {"k": op[1]})
-                reference.delete("docs", {"k": op[1]})
+                db.delete("docs", {"k": op[1]})
             elif op[0] == "bypass":
-                row = {"k": op[1], "v": op[2], "w": None}
-                fast._plan("docs").heap.insert(dict(row))
-                reference._plan("docs").heap.insert(dict(row))
+                heap.insert({"k": op[1], "v": op[2], "w": None})
             else:
-                got = fast.scan_max("docs", "v")
-                rows = reference.select("docs", lock=False)
-                values = [row["v"] for row in rows if row["v"] is not None]
-                want = max(values) if values else None
-                assert got == want
-                assert fast.clock.now() == reference.clock.now()
-        assert _stats_cells(fast.clock.stats) == \
-            _stats_cells(reference.clock.stats)
+                keys = [row["k"] for _, row in heap.scan_live()]
+                before = _stats_cells(db.clock.stats)
+                got = db.scan_max("docs", "k")
+                assert got == (max(keys) if keys else None)
+                after = _stats_cells(db.clock.stats)
+                charged = {label: (cell[0] - before.get(label, (0, 0.0))[0])
+                           for label, cell in after.items()
+                           if cell != before.get(label)}
+                assert charged == {"sql_statement_base": 1, "index_probe": 1}
+                probes += 1
+        assert probes > 10
+
+    def test_charge_is_independent_of_table_size(self):
+        ledgers = []
+        for size in (1, 10, 5_000):
+            db = _make_docs_db()
+            db.insert_many("docs", [{"k": key, "v": None, "w": None}
+                                    for key in range(size)])
+            db.clock = SimClock()      # a fresh ledger for the probe alone
+            assert db.scan_max("docs", "k") == size - 1
+            ledgers.append((_stats_cells(db.clock.stats), db.clock.now()))
+        assert ledgers[0] == ledgers[1] == ledgers[2]
+
+    def test_rejects_non_key_columns(self):
+        db = _make_docs_db()
+        db.insert("docs", {"k": 1, "v": 2, "w": 3})
+        with pytest.raises(SchemaError):
+            db.scan_max("docs", "v")      # secondary-indexed, not the key
+        with pytest.raises(SchemaError):
+            db.scan_max("docs", "w")      # unindexed
 
     def test_warm_tracker_survives_facade_inserts(self):
         db = _make_docs_db(SimClock())
         for key in range(20):
-            db.insert("docs", {"k": key, "v": key * 3, "w": None})
-        assert db.scan_max("docs", "v") == 57
+            db.insert("docs", {"k": key * 3, "v": None, "w": None})
+        assert db.scan_max("docs", "k") == 57
         # Facade inserts keep the tracker warm incrementally ...
-        db.insert("docs", {"k": 100, "v": 900, "w": None})
-        assert db.scan_max("docs", "v") == 900
+        db.insert("docs", {"k": 900, "v": None, "w": None})
+        assert db.scan_max("docs", "k") == 900
         # ... and a bypassing heap mutation forces the rescan.
-        db._plan("docs").heap.insert({"k": 200, "v": 1234, "w": None})
-        assert db.scan_max("docs", "v") == 1234
+        db._plan("docs").heap.insert({"k": 1234, "v": None, "w": None})
+        assert db.scan_max("docs", "k") == 1234
 
     def test_tracker_invalidated_by_crash_recovery(self):
         # A crash rebuilds the catalog with fresh heaps whose mutation
@@ -154,23 +173,23 @@ class TestScanMaxIdentity:
         # not validate against the new heap's coincidentally equal count
         # (the bug showed up as duplicate token-entry ids after failover).
         db = _make_docs_db(SimClock())
-        db.insert("docs", {"k": 1, "v": 10, "w": None})
-        assert db.scan_max("docs", "v") == 10
+        db.insert("docs", {"k": 10, "v": None, "w": None})
+        assert db.scan_max("docs", "k") == 10
         db.wal.flush()
         db.crash()
         db.recover()
-        db.insert("docs", {"k": 2, "v": 20, "w": None})
-        assert db.scan_max("docs", "v") == 20
+        db.insert("docs", {"k": 20, "v": None, "w": None})
+        assert db.scan_max("docs", "k") == 20
 
     def test_tracker_invalidated_by_restore(self):
         db = _make_docs_db(SimClock())
-        db.insert("docs", {"k": 1, "v": 10, "w": None})
+        db.insert("docs", {"k": 10, "v": None, "w": None})
         image = db.backup("before")
-        db.insert("docs", {"k": 2, "v": 99, "w": None})
-        assert db.scan_max("docs", "v") == 99
+        db.insert("docs", {"k": 99, "v": None, "w": None})
+        assert db.scan_max("docs", "k") == 99
         db.restore(image)
-        db.insert("docs", {"k": 2, "v": 20, "w": None})
-        assert db.scan_max("docs", "v") == 20
+        db.insert("docs", {"k": 20, "v": None, "w": None})
+        assert db.scan_max("docs", "k") == 20
 
 
 class TestPointSelectIdentity:
