@@ -209,10 +209,8 @@ class DataLinksSystem:
         """Clock domains for *count* concurrent clients (pooled at *limit*).
 
         Delegates to :meth:`repro.simclock.ClockDomainGroup.session_domains`
-        with the host domain as the base: with
-        :data:`repro.simclock.SESSION_DOMAINS` off (or in serial mode)
-        every client shares the host clock, the serialized reference
-        model.
+        with the host domain as the base: in serial mode every client
+        shares the host clock.
         """
 
         return self.clocks.session_domains(count, self.clock, limit=limit,

@@ -1,8 +1,9 @@
-"""Benchmark harness reproducing the paper's evaluation claims (E1..E9).
+"""Benchmark harness reproducing the paper's evaluation claims (E1..E14).
 
-``python -m repro.bench`` runs every experiment and prints the tables that
-EXPERIMENTS.md records; ``benchmarks/`` contains the pytest-benchmark wrappers
-that measure the wall-clock cost of the same code paths.
+``python -m repro.bench`` runs every experiment and prints its table (text
+or ``--markdown``); ``--smoke`` and ``--scale large`` also write the
+``BENCH_smoke.json``/``BENCH_large.json`` artifacts, whose wall-clock and
+call-count fields measure the cost of the same code paths.
 """
 
 from repro.bench.metrics import ExperimentResult, format_table

@@ -5,10 +5,11 @@ numbered tables, so each quantitative or comparative claim becomes one
 experiment here.  Every experiment builds a fresh simulated system, drives it
 through the public API, and reports *simulated* milliseconds (comparable in
 shape to the paper's 200 MHz-era measurements) plus whatever counts the claim
-is about.  ``python -m repro.bench`` prints all tables; EXPERIMENTS.md records
-paper-vs-measured.  E11-E14 go beyond the paper: E11 measures the
-scale-out layer (sharded multi-DLFM deployments, WAL group commit, batched
-link pipelines), E12 measures shard replication (WAL-stream shipping to
+is about.  ``python -m repro.bench`` prints all tables, and each experiment's
+``paper_claim`` states the figure it is compared with; ``BENCH_smoke.json``
+and ``BENCH_large.json`` record the committed runs.  E11-E14 go beyond the
+paper: E11 measures the scale-out layer (sharded multi-DLFM deployments, WAL
+group commit, batched link pipelines), E12 measures shard replication (WAL-stream shipping to
 witness replicas, read availability across a primary crash and failover),
 E13 measures online prefix rebalancing (foreground availability while a hot
 prefix moves between shards under a 2PC hand-off) and E14 measures the
@@ -1494,8 +1495,3 @@ def run_experiment(experiment_id: str, smoke: bool = False,
         raise KeyError(f"unknown scale {scale!r}; "
                        f"known: {sorted(SCALE_PARAMS)}") from None
     return factory(**params.get(identifier, {}))
-
-
-# Public aliases used by the pytest-benchmark wrappers in ``benchmarks/``.
-build_microsystem = _build_system
-measure_simulated = _measure

@@ -47,7 +47,6 @@ from __future__ import annotations
 import contextlib
 from dataclasses import dataclass, field
 
-from repro.datalinks.control_modes import ControlMode
 from repro.datalinks.datalink_type import DatalinkOptions, options_of_column
 from repro.datalinks.dlfm.daemons import DLFMConnection, MainDaemon
 from repro.datalinks.tokens import TokenCache, TokenManager, TokenType
@@ -63,13 +62,6 @@ from repro.storage.transaction import Transaction
 from repro.storage.values import DataType
 from repro.util.lsn import LSN
 from repro.util.urls import format_url, parse_url
-
-#: Gates the vectorized token-handout fast path
-#: (:meth:`DataLinksEngine.get_datalink_many`).  ``False`` replays the batch
-#: through the scalar :meth:`~DataLinksEngine.get_datalink` per row; both
-#: modes produce bit-identical token streams and simulated charges (see
-#: tests/test_bulk_fastpaths.py).
-BULK_TOKEN_HANDOUT = True
 
 
 @dataclass
@@ -575,49 +567,29 @@ class DataLinksEngine:
         ``access`` is ``"read"`` or ``"write"``; requesting write access on a
         column whose control mode does not manage updates raises
         :class:`ControlModeError`, mirroring SQL errors in the prototype.
+        A one-row :meth:`get_datalink_many`.
         """
 
-        if self.clock is not None:
-            self.clock.charge("datalink_engine_dispatch")
-        txn = host_txn.txn if host_txn is not None else None
-        row = self.db.select_one(table, where, txn)
-        if row is None:
-            return None
-        schema_column = self.db.catalog.schema(table).column(column)
-        if schema_column.dtype is not DataType.DATALINK:
-            raise ControlModeError(f"column {column!r} is not a DATALINK column")
-        url_text = row.get(column)
-        if not url_text:
-            return None
-        options = options_of_column(schema_column)
-        mode = options.control_mode
-        parsed = parse_url(url_text)
-        token = self._token_for(parsed.server, parsed.path, mode, access,
-                                ttl if ttl is not None else options.token_ttl)
-        return parsed.with_token(token).render()
+        return self.get_datalink_many(table, (where,), column, access=access,
+                                      host_txn=host_txn, ttl=ttl)[0]
 
     def get_datalink_many(self, table: str, wheres, column: str, *,
                           access: str = "read",
                           host_txn: HostTransaction | None = None,
                           ttl: float | None = None) -> list:
-        """Mint a whole read plan's tokens as one vectorized handout.
+        """Mint a whole read plan's tokens as one handout.
 
-        Semantically ``[self.get_datalink(table, where, column, ...) for
-        where in wheres]`` -- and that scalar loop is exactly what runs when
-        :data:`BULK_TOKEN_HANDOUT` is off.  The fast path hoists the
-        per-call machinery out of the loop -- schema and option resolution,
-        the router and server-entry lookups, the token-cache probe -- while
-        keeping every per-row charge in scalar order, so the token stream
-        and all simulated timestamps are bit-identical to the reference:
-        handout is host-side SQL whose rows mint back to back, nothing
-        between two rows touches any clock, which is what makes the hoist
-        safe.
+        Returns one DATALINK value per ``where`` (``None`` where no row
+        matches or the column is empty), each carrying a freshly minted --
+        or, with a token cache, a reused live -- token when *access*
+        requires one.  Tokens are signed with the secret of the node that
+        will validate them: the prefix's current owner (witnesses share
+        their primary's secret, so failover needs no re-signing; a
+        rebalanced prefix validates on the destination shard).  Schema and
+        option resolution happen once per call; every row still pays its
+        own engine dispatch and host SQL, in ``wheres`` order.
         """
 
-        if not BULK_TOKEN_HANDOUT:
-            return [self.get_datalink(table, where, column, access=access,
-                                      host_txn=host_txn, ttl=ttl)
-                    for where in wheres]
         clock = self.clock
         txn = host_txn.txn if host_txn is not None else None
         db = self.db
@@ -653,8 +625,6 @@ class DataLinksEngine:
                 if token_ttl is None:
                     token_ttl = options.token_ttl
             parsed = parse_url(url_text)
-            # ``_token_for`` inlined: owner-shard resolution, the server
-            # entry, and the access checks in the scalar's exact order.
             server = parsed.server if router is None else \
                 router.owner_shard(parsed.server, parsed.path)
             name = server if router is None else router.writable_node(server)
@@ -689,40 +659,6 @@ class DataLinksEngine:
                 token = entry.tokens.generate(path, token_type, token_ttl)
             results.append(parsed.with_token(token).render())
         return results
-
-    def _token_for(self, server: str, path: str, mode: ControlMode, access: str,
-                   ttl: float) -> str | None:
-        # Tokens must be signed with the secret of the node that will
-        # validate them: the prefix's current owner (witnesses share their
-        # primary's secret, so failover needs no re-signing; a rebalanced
-        # prefix validates on the destination shard).
-        server = self._owner(server, path)
-        entry = self._entry(server)
-        if access == "write":
-            if not mode.supports_update:
-                raise ControlModeError(
-                    f"files linked in {mode.value} mode cannot be updated through "
-                    f"the database (write access is "
-                    f"{'blocked' if mode.write_blocked else 'file-system controlled'})")
-            return self._generate_token(entry, server, path, TokenType.WRITE, ttl)
-        if access != "read":
-            raise ControlModeError(f"unknown access kind {access!r}")
-        if mode.requires_read_token:
-            return self._generate_token(entry, server, path, TokenType.READ, ttl)
-        return None
-
-    def _generate_token(self, entry: _FileServerEntry, server: str, path: str,
-                        token_type: TokenType, ttl: float) -> str:
-        """Generate a token, reusing a cached live one when caching is on."""
-
-        if self.token_cache is not None:
-            cached = self.token_cache.lookup(server, path, token_type, ttl)
-            if cached is not None:
-                return cached
-        token = entry.tokens.generate(path, token_type, ttl)
-        if self.token_cache is not None:
-            self.token_cache.store(server, path, token_type, ttl, token)
-        return token
 
     # ------------------------------------------------------- metadata maintenance --
     def update_file_metadata(self, server: str, path: str, size: int, mtime: float,

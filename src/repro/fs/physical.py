@@ -84,7 +84,7 @@ class PhysicalFileSystem(VFSOperations):
 
         entries = clock.compile_charges(
             (("vfs_op", 1.0, None), ("directory_lookup", 1.0, None),
-             ("fs_metadata_update", 1.0, None), ("disk_seek", 1.0, None)))[1]
+             ("fs_metadata_update", 1.0, None), ("disk_seek", 1.0, None)))
         self._amt_vfs = entries[0][0]
         self._amt_lookup = entries[1][0]
         self._amt_meta = entries[2][0]

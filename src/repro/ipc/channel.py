@@ -23,17 +23,7 @@ behavior: one latency charge plus the handler's work on the shared timeline.
 from __future__ import annotations
 
 from repro.errors import DaemonUnavailableError, ReproError
-from repro.ipc.message import Message, Reply
 from repro.simclock import SimClock
-
-#: When True (the default) exchanges take the coalesced fast path: the
-#: daemon's :meth:`~repro.ipc.daemon.Daemon.dispatch` is called directly
-#: and no Message/Reply envelope is allocated.  Setting this to False
-#: forces the reference envelope path.  Both paths charge the exact same
-#: costs in the exact same order -- ``tests/test_clock_domains.py``
-#: asserts byte-identical timestamps and statistics across seeded random
-#: interleavings of the two.
-COALESCED = True
 
 
 class Channel:
@@ -44,31 +34,29 @@ class Channel:
     ``db_dlfm_message`` for DBMS-agent-to-child-agent traffic).
 
     ``epoch_provider`` (optional) threads the sender's placement epoch
-    through every message envelope: the callable is sampled at send time
-    and stamped into :attr:`Message.placement_epoch`, so the receiving
-    daemon's epoch gate can refuse requests routed by a stale placement
-    map (see :mod:`repro.datalinks.placement`).
+    through every message: the callable is sampled at send time and handed
+    to :meth:`~repro.ipc.daemon.Daemon.dispatch`, so the receiving daemon's
+    epoch gate can refuse requests routed by a stale placement map (see
+    :mod:`repro.datalinks.placement`).
     """
 
-    __slots__ = ("_daemon", "_clock", "_latency_primitive", "_sender",
+    __slots__ = ("_daemon", "_clock", "_latency_primitive",
                  "_epoch_provider", "_dispatch", "_callee_clock", "_cross",
                  "_amt_caller_lat", "_amt_callee_lat", "_amt_caller_send")
 
     def __init__(self, daemon, clock: SimClock | None,
-                 latency_primitive: str = "upcall_round_trip", sender: str = "",
+                 latency_primitive: str = "upcall_round_trip",
                  epoch_provider=None):
         self._daemon = daemon
         self._clock = clock
         self._latency_primitive = latency_primitive
-        self._sender = sender
         self._epoch_provider = epoch_provider
-        # Resolved once: the envelope-free dispatch entry point (None for
-        # duck-typed daemons that only implement ``handle``), the callee's
+        # Resolved once: the daemon's dispatch entry point, the callee's
         # clock, and whether this channel crosses clock domains.  Every
         # component assigns its clock in ``__init__`` and never rebinds it,
         # so sampling at channel construction is safe.
-        self._dispatch = getattr(daemon, "dispatch", None)
-        self._callee_clock = getattr(daemon, "clock", None)
+        self._dispatch = daemon.dispatch
+        self._callee_clock = daemon.clock
         self._cross = (clock is not None and self._callee_clock is not None
                        and clock is not self._callee_clock)
         # Fixed per-message charge amounts, resolved once per channel (the
@@ -88,36 +76,15 @@ class Channel:
     def request(self, kind: str, **payload) -> dict:
         """Synchronous round trip: send, wait for the reply, merge clocks."""
 
-        return self._exchange(kind, payload, wait=True)
-
-    def post(self, kind: str, **payload) -> dict:
-        """Pipelined send: the caller does not wait for the callee.
-
-        The handler still runs (and its errors still raise -- the simulation
-        executes synchronously), but only the callee's timeline bears the
-        wire latency and the work; the caller pays the ``message_send``
-        enqueue cost and keeps going.  Use for traffic whose completion is
-        acknowledged at a later barrier (link batches before prepare, WAL
-        shipping before promotion).  A handler *error* is not free, though:
-        surfacing it at statement time means the caller waited for it, so
-        the caller's clock merges up to the callee's completion exactly
-        like a synchronous round trip.
-        """
-
-        return self._exchange(kind, payload, wait=False)
-
-    def _exchange(self, kind: str, payload: dict, wait: bool) -> dict:
         caller = self._clock
         callee = self._callee_clock
         cross = self._cross
         if not self._daemon.running:
             # The attempt itself takes time on the caller's side (a dead
-            # node's clock must not advance): a synchronous request waits a
-            # full round trip for the failure, a pipelined send only pays
-            # the enqueue cost.
+            # node's clock must not advance): the caller waits a full round
+            # trip for the failure.
             if caller is not None:
-                caller.charge(self._latency_primitive if wait or not cross
-                              else "message_send")
+                caller.charge(self._latency_primitive)
             raise DaemonUnavailableError(
                 f"daemon {self._daemon.name!r} is not running")
         if cross:
@@ -128,9 +95,9 @@ class Channel:
             sent = frames[-1][0] if frames else caller._now
             if sent > callee._now:
                 callee._now = sent
-            # The latency/message_send charges are written out inline too
-            # (amounts precomputed at channel construction): one exchange
-            # is two to three fixed charges, each a frame saved.
+            # The latency charge is written out inline too (amount
+            # precomputed at channel construction): one frame saved per
+            # message.
             amount = self._amt_callee_lat
             callee._now += amount
             key = self._latency_primitive
@@ -150,25 +117,6 @@ class Channel:
                     cell[1] += amount
                 except KeyError:
                     mcells[key] = [1, amount]
-            if not wait:
-                amount = self._amt_caller_send
-                caller._now += amount
-                cells = caller.stats._cells
-                try:
-                    cell = cells["message_send"]
-                    cell[0] += 1
-                    cell[1] += amount
-                except KeyError:
-                    cells["message_send"] = [1, amount]
-                mirror = caller._mirror_stats
-                if mirror is not None:
-                    mcells = mirror._cells
-                    try:
-                        cell = mcells["message_send"]
-                        cell[0] += 1
-                        cell[1] += amount
-                    except KeyError:
-                        mcells["message_send"] = [1, amount]
         elif caller is not None:
             amount = self._amt_caller_lat
             caller._now += amount
@@ -191,46 +139,50 @@ class Channel:
                     mcells[key] = [1, amount]
         epoch_provider = self._epoch_provider
         epoch = epoch_provider() if epoch_provider is not None else None
-        dispatch = self._dispatch
-        if dispatch is not None and COALESCED:
-            try:
-                result = dispatch(kind, payload, epoch)
-            except ReproError:
-                # A pipelined send whose handler failed surfaces the error
-                # at statement time, which in real life means the caller
-                # waited for the failure to come back: charge the
-                # round-trip sync instead of handing the error over for
-                # free.
-                if cross:
-                    caller.receive(callee._now)
-                raise
-            if cross and wait:
-                # caller.receive(callee.now()), inlined like the send side.
-                done = callee._now
-                frames = caller._overlap_frames
-                if frames:
-                    frame = frames[-1]
-                    if done > frame[1]:
-                        frame[1] = done
-                elif done > caller._now:
-                    caller._now = done
-            return result
-        reply = self._daemon.handle(Message(kind, payload, self._sender, epoch))
-        if cross and (wait or not reply.ok):
-            # See above: a failed pipelined send costs the caller a full
-            # round trip, exactly like a synchronous request.
-            caller.receive(callee._now)
-        return reply.unwrap()
+        try:
+            result = self._dispatch(kind, payload, epoch)
+        except ReproError:
+            # A failed request costs the caller the round trip too.
+            if cross:
+                caller.receive(callee._now)
+            raise
+        if cross:
+            # caller.receive(callee.now()), inlined like the send side.
+            done = callee._now
+            frames = caller._overlap_frames
+            if frames:
+                frame = frames[-1]
+                if done > frame[1]:
+                    frame[1] = done
+            elif done > caller._now:
+                caller._now = done
+        return result
+
+    def post(self, kind: str, **payload) -> dict:
+        """Pipelined send: the caller does not wait for the callee.
+
+        The handler still runs (and its errors still raise -- the simulation
+        executes synchronously), but only the callee's timeline bears the
+        wire latency and the work; the caller pays the ``message_send``
+        enqueue cost and keeps going.  Use for traffic whose completion is
+        acknowledged at a later barrier (link batches before prepare, WAL
+        shipping before promotion).  A handler *error* is not free, though:
+        surfacing it at statement time means the caller waited for it, so
+        the caller's clock merges up to the callee's completion exactly
+        like a synchronous round trip.  A one-message :meth:`post_group`.
+        """
+
+        return self.post_group(kind, (payload,))[0]
 
     def post_group(self, kind: str, payloads) -> list[dict]:
         """Pipelined batch: post every payload dict in *payloads*, in order.
 
-        Semantically identical to calling :meth:`post` once per payload --
-        same per-message charges in the same order, same liveness and error
-        behavior -- but the channel bookkeeping (clock-topology resolution,
-        handler lookup, envelope allocation) is hoisted out of the loop, so
-        a batch of N messages to one destination costs O(1) bookkeeping.
-        Link batches and WAL shipping send through this.
+        Each message is charged and dispatched exactly like a lone
+        :meth:`post`, in order, with liveness re-checked per message; the
+        channel bookkeeping (clock-topology resolution, handler lookup) is
+        hoisted out of the loop, so a batch of N messages to one
+        destination costs O(1) bookkeeping.  Link batches and WAL shipping
+        send through this.
         """
 
         caller = self._clock
@@ -239,7 +191,7 @@ class Channel:
         cross = self._cross
         latency = self._latency_primitive
         epoch_provider = self._epoch_provider
-        dispatch = self._dispatch if COALESCED else None
+        dispatch = self._dispatch
         results = []
         for payload in payloads:
             # Liveness is re-checked per message (a handler may stop its
@@ -311,19 +263,17 @@ class Channel:
                     except KeyError:
                         mcells[latency] = [1, amount]
             epoch = epoch_provider() if epoch_provider is not None else None
-            if dispatch is not None:
-                try:
-                    results.append(dispatch(kind, payload, epoch))
-                except ReproError:
-                    if cross:
-                        caller.receive(callee._now)
-                    raise
-            else:
-                reply = daemon.handle(
-                    Message(kind, payload, self._sender, epoch))
-                if cross and not reply.ok:
+            try:
+                results.append(dispatch(kind, payload, epoch))
+            except ReproError:
+                # A pipelined send whose handler failed surfaces the error
+                # at statement time, which in real life means the caller
+                # waited for the failure to come back: charge the
+                # round-trip sync instead of handing the error over for
+                # free.
+                if cross:
                     caller.receive(callee._now)
-                results.append(reply.unwrap())
+                raise
         return results
 
     @property

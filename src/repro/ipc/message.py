@@ -1,68 +1,7 @@
-"""Request/response message types for the simulated IPC.
+"""The simulated IPC wire format.
 
-Both types are plain ``__slots__`` classes rather than dataclasses: a
-:class:`Message`/:class:`Reply` pair is allocated for every simulated IPC
-exchange, and slotted instances skip the per-object ``__dict__`` that
-dominated the envelope path's allocation cost.
+A message is no object of its own: a request is the triple
+``(kind, payload, placement_epoch)`` that :class:`~repro.ipc.channel.Channel`
+hands to :meth:`~repro.ipc.daemon.Daemon.dispatch`, and the reply is the
+handler's payload dict, or the :class:`~repro.errors.ReproError` it raised.
 """
-
-from __future__ import annotations
-
-
-class Message:
-    """A request sent to a daemon.
-
-    ``placement_epoch`` is the sender's view of the cluster placement map
-    (see :mod:`repro.datalinks.placement`): channels whose traffic depends
-    on prefix ownership stamp it, and the receiving daemon's epoch gate
-    rejects envelopes carrying a stale epoch with a
-    :class:`~repro.errors.PlacementEpochError` redirect instead of acting
-    on a request routed by an outdated map.  ``None`` means the sender is
-    placement-agnostic (upcalls, WAL shipping) and no check applies.
-    """
-
-    __slots__ = ("kind", "payload", "sender", "placement_epoch")
-
-    def __init__(self, kind: str, payload: dict | None = None,
-                 sender: str = "", placement_epoch: int | None = None):
-        self.kind = kind
-        self.payload = payload if payload is not None else {}
-        self.sender = sender
-        self.placement_epoch = placement_epoch
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"Message(kind={self.kind!r}, payload={self.payload!r}, "
-                f"sender={self.sender!r}, "
-                f"placement_epoch={self.placement_epoch!r})")
-
-
-class Reply:
-    """A daemon's response to a :class:`Message`."""
-
-    __slots__ = ("ok", "payload", "error")
-
-    def __init__(self, ok: bool, payload: dict | None = None,
-                 error: Exception | None = None):
-        self.ok = ok
-        self.payload = payload if payload is not None else {}
-        self.error = error
-
-    @classmethod
-    def success(cls, **payload) -> "Reply":
-        return cls(True, payload)
-
-    @classmethod
-    def failure(cls, error: Exception) -> "Reply":
-        return cls(False, None, error)
-
-    def unwrap(self) -> dict:
-        """Return the payload, re-raising the carried error when not ok."""
-
-        if not self.ok:
-            assert self.error is not None
-            raise self.error
-        return self.payload
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"Reply(ok={self.ok!r}, payload={self.payload!r}, "
-                f"error={self.error!r})")

@@ -51,27 +51,6 @@ import contextlib
 from dataclasses import dataclass, fields
 from itertools import repeat as _repeat
 
-#: Debug switch for the batched-charge fast path.  When ``False``,
-#: :meth:`SimClock.charge_run` and :meth:`SimClock.charge_batch` replay
-#: every event through the scalar :meth:`SimClock.charge` path -- the
-#: per-record reference implementation the batched ledger is asserted
-#: against (see ``tests/test_batched_charges.py``).  Both modes produce
-#: bit-identical clocks and statistics; the fast path just hoists the
-#: per-event dict probes and call overhead out of the loop.
-BATCHED_CHARGES = True
-
-#: Debug switch for per-client session clock domains.  When ``False``,
-#: :meth:`ClockDomainGroup.session_domains` hands every simulated client
-#: the *base* (host) clock -- the serialized reference model where all
-#: sessions share one timeline -- and the client-pool drivers degrade to
-#: the old round-robin-on-the-host behaviour.  When ``True`` (default),
-#: each client session (or pooled group of sessions) owns a
-#: :class:`ClockDomain` that barriers through the host like any IPC, so
-#: concurrent clients genuinely overlap and queueing delay is measurable.
-#: Single-client runs are byte-identical either way (asserted by
-#: ``tests/test_session_domains.py``).
-SESSION_DOMAINS = True
-
 
 @dataclass
 class CostModel:
@@ -382,11 +361,6 @@ class SimClock:
 
         if times <= 0:
             return 0.0
-        if not BATCHED_CHARGES:
-            total = 0.0
-            for _ in _repeat(None, times):
-                total += self.charge(primitive, scale=scale, label=label)
-            return total
         try:
             unit = self._units[primitive]
         except KeyError:
@@ -434,11 +408,11 @@ class SimClock:
         *events* is a sequence of ``(primitive, scale, label)`` triples --
         one cycle of the pattern, in charge order.  The unit lookups and
         stats keys are resolved once here instead of once per replayed
-        event.  The compiled pattern is clock-specific (units come from this
-        clock's cost model).
+        event.  The compiled pattern -- a tuple of ``(amount, label)`` per
+        event -- is clock-specific (units come from this clock's cost
+        model).
         """
 
-        events = tuple(events)
         entries = []
         for primitive, scale, label in events:
             try:
@@ -448,7 +422,7 @@ class SimClock:
             amount = unit * 1
             amount *= scale
             entries.append((amount, label or primitive))
-        return (events, tuple(entries))
+        return tuple(entries)
 
     def charge_batch(self, compiled: tuple, cycles: int = 1) -> None:
         """Replay a compiled charge pattern *cycles* times.
@@ -460,13 +434,8 @@ class SimClock:
         happen once per distinct label instead of once per event.
         """
 
-        events, entries = compiled
+        entries = compiled
         if cycles <= 0 or not entries:
-            return
-        if not BATCHED_CHARGES:
-            for _ in _repeat(None, cycles):
-                for primitive, scale, label in events:
-                    self.charge(primitive, scale=scale, label=label)
             return
         cells = self.stats._cells
         mirror = self._mirror_stats
@@ -515,11 +484,6 @@ class SimClock:
             if mcell is not None:
                 mcell[0] += count
                 mcell[1] = mtotal
-
-    def _record(self, label: str, amount: float) -> None:
-        self.stats.record(label, amount)
-        if self._mirror_stats is not None:
-            self._mirror_stats.record(label, amount)
 
     def measure(self) -> "Stopwatch":
         """Return a :class:`Stopwatch` started at the current simulated time."""
@@ -573,7 +537,7 @@ def gather(target, clocks) -> float:
     a single :meth:`SimClock.receive` on the target, after which every
     client syncs forward to the merged instant.  ``None`` entries and the
     target itself are skipped, so the call degenerates to a no-op when
-    every client shares the target clock (the serialized reference path).
+    every client shares the target clock (a serial-clock deployment).
     Returns the merged instant.
     """
 
@@ -610,7 +574,7 @@ class ClockDomain(SimClock):
         super().__init__(cost_model, start=start, name=name, units=units)
         self.group = group
         # Charges mirror into the group's merged stats via the base-class
-        # fast path instead of a ``_record`` override.
+        # ``_mirror_stats`` hook.
         if group.stats is not self.stats:
             self._mirror_stats = group.stats
 
@@ -698,10 +662,9 @@ class ClockDomainGroup:
                         prefix: str = "client") -> list:
         """Clock domains for *count* simulated client sessions.
 
-        Returns a list of *count* clocks, one per client.  With
-        :data:`SESSION_DOMAINS` off (the serialized reference path) or in
-        serial mode every entry is *base* (default: the ``host`` domain),
-        which reproduces the old model where all sessions ride the host
+        Returns a list of *count* clocks, one per client.  In serial mode
+        (``serial_clock=True`` deployments) every entry is *base* (default:
+        the ``host`` domain), so all sessions ride the one shared
         timeline.  Otherwise each client gets its own domain, pooled
         round-robin over at most *limit* distinct domains so wall clock
         stays flat at 10^4 clients.  Pooled domain names are stable
@@ -715,7 +678,7 @@ class ClockDomainGroup:
             base = self.domain("host")
         if count <= 0:
             return []
-        if not SESSION_DOMAINS or self.serial:
+        if self.serial:
             return [base] * count
         pool = count if limit is None else max(1, min(count, limit))
         start = base.now()

@@ -20,11 +20,8 @@ statistics.
 
 from __future__ import annotations
 
-import contextlib
-
 from repro.errors import (
     DuplicateKeyError,
-    NoSuchTableError,
     PreparedStateError,
     SchemaError,
     TransactionNotActive,
@@ -41,12 +38,6 @@ from repro.storage.wal import FlushPolicy, LogRecordType, WriteAheadLog
 from repro.util.lsn import LSN
 
 SYSTEM_TXN_ID = 0
-
-#: Gates the point-SELECT short cut in :meth:`Database.select`, which
-#: bypasses the general scan machinery.  ``False`` routes every select
-#: through the reference implementation; both modes produce bit-identical
-#: rows and simulated charges (see tests/test_bulk_fastpaths.py).
-FAST_SCANS = True
 
 
 class _TablePlan:
@@ -664,7 +655,7 @@ class Database:
             catalog = self.catalog
             if plan.catalog is not catalog or plan.version != catalog.version:
                 plan = self._build_plan(table)
-        if FAST_SCANS and type(where) is dict and where and \
+        if type(where) is dict and where and \
                 (txn is None or not lock):
             matched = self._point_select(plan, where, clock)
             if matched is not None:
@@ -730,12 +721,12 @@ class Database:
         return rows[0] if rows else None
 
     def _point_select(self, plan: _TablePlan, where: dict, clock):
-        """Unlocked point-SELECT short cut (:data:`FAST_SCANS`).
+        """Unlocked point-SELECT short cut, chosen by the ``where`` shape.
 
         Handles the dominant statement shape -- an equality ``where`` dict
         whose keys are exactly one index's columns -- without compiling a
-        predicate or materializing a candidate list, replaying the general
-        path's charges verbatim: an ``index_probe`` for a complete
+        predicate or materializing a candidate list, charging what the
+        general path would: an ``index_probe`` for a complete
         primary-key probe, nothing for secondary-index enumeration, and a
         ``row_read`` per match.  Returns ``None``, before any charge beyond
         the caller's ``sql_statement_base``, when the shape is not covered

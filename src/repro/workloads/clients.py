@@ -25,10 +25,9 @@ a min-heap, so admission arrivals are non-decreasing (the FIFO-fairness
 property the admission tests assert).  Pooled domains (``limit``) reuse
 one domain for several clients; a popped entry whose domain has advanced
 past it (a poolmate ran) is lazily re-pushed at the domain's current
-time, preserving arrival order.  With
-:data:`repro.simclock.SESSION_DOMAINS` off every client shares the host
-clock and the pool degrades to the serialized round-robin reference
-path.  After the run the host :func:`~repro.simclock.gather`\\ s every
+time, preserving arrival order.  In a serial-clock deployment every
+client shares the host clock and the pool degrades to a serialized
+round-robin.  After the run the host :func:`~repro.simclock.gather`\\ s every
 client domain in one aggregated merge, so elapsed cluster time is the
 slowest client's completion.
 """
@@ -157,7 +156,8 @@ class ClientPool:
                 push(heap, (clock._now, index, next_op))
 
     def _run_serial(self, counts, op, admission) -> None:
-        """All clients share one clock: the round-robin reference path."""
+        """All clients share one clock (a lone client, or a serial-clock
+        system): plain round-robin."""
 
         for op_index in range(max(counts)):
             for index in range(self.count):

@@ -5,7 +5,6 @@ import pytest
 from repro.errors import DaemonUnavailableError, DataLinksError, ProtocolError
 from repro.ipc.channel import Channel
 from repro.ipc.daemon import Daemon
-from repro.ipc.message import Message, Reply
 from repro.simclock import SimClock
 
 
@@ -25,27 +24,22 @@ class EchoDaemon(Daemon):
 class TestDaemon:
     def test_dispatch_to_registered_handler(self):
         daemon = EchoDaemon()
-        reply = daemon.handle(Message(kind="echo", payload={"text": "hi"}))
-        assert reply.ok and reply.payload == {"text": "hi"}
+        assert daemon.dispatch("echo", {"text": "hi"}) == {"text": "hi"}
 
     def test_unknown_request_kind(self):
         daemon = EchoDaemon()
-        reply = daemon.handle(Message(kind="nonsense"))
-        assert not reply.ok
         with pytest.raises(ProtocolError):
-            reply.unwrap()
+            daemon.dispatch("nonsense", {})
 
-    def test_errors_are_wrapped_in_reply(self):
+    def test_handler_errors_raise(self):
         daemon = EchoDaemon()
-        reply = daemon.handle(Message(kind="fail"))
-        assert not reply.ok
-        with pytest.raises(DataLinksError):
-            reply.unwrap()
+        with pytest.raises(DataLinksError, match="boom"):
+            daemon.dispatch("fail", {})
 
     def test_request_counter(self):
         daemon = EchoDaemon()
-        daemon.handle(Message(kind="echo", payload={"text": "a"}))
-        daemon.handle(Message(kind="echo", payload={"text": "b"}))
+        daemon.dispatch("echo", {"text": "a"})
+        daemon.dispatch("echo", {"text": "b"})
         assert daemon.requests_served == 2
 
     def test_handle_method_fallback(self):
@@ -53,8 +47,25 @@ class TestDaemon:
             def handle_ping(self) -> dict:
                 return {"pong": True}
 
-        reply = WithMethod("m").handle(Message(kind="ping"))
-        assert reply.payload == {"pong": True}
+        assert WithMethod("m").dispatch("ping", {}) == {"pong": True}
+
+    def test_channel_epoch_reaches_the_gate_before_the_handler(self):
+        seen = []
+
+        def gate(epoch):
+            seen.append(epoch)
+            if epoch < 2:
+                raise DataLinksError("stale placement epoch")
+
+        daemon = EchoDaemon()
+        daemon.epoch_gate = gate
+        epochs = iter([1, 2])
+        channel = Channel(daemon, None, epoch_provider=lambda: next(epochs))
+        with pytest.raises(DataLinksError, match="stale"):
+            channel.request("echo", text="refused")
+        assert daemon.requests_served == 0
+        assert channel.post("echo", text="ok") == {"text": "ok"}
+        assert seen == [1, 2] and daemon.requests_served == 1
 
 
 class TestChannel:
@@ -78,13 +89,22 @@ class TestChannel:
         daemon.start()
         assert channel.request("echo", text="x") == {"text": "x"}
 
+    def test_post_to_stopped_daemon_costs_only_the_enqueue(self):
+        from repro.simclock import ClockDomainGroup
+
+        group = ClockDomainGroup()
+        host, shard = group.domain("host"), group.domain("shard")
+        daemon = EchoDaemon(shard)
+        daemon.stop()
+        channel = Channel(daemon, host, latency_primitive="db_dlfm_message")
+        with pytest.raises(DaemonUnavailableError):
+            channel.post("echo", text="x")
+        assert host.stats.count("message_send") == 1
+        assert host.stats.count("db_dlfm_message") == 0
+        assert shard.now() == 0.0
+        assert daemon.requests_served == 0
+
     def test_request_propagates_daemon_error(self):
         channel = Channel(EchoDaemon(), None)
         with pytest.raises(DataLinksError):
             channel.request("fail")
-
-    def test_reply_helpers(self):
-        assert Reply.success(a=1).unwrap() == {"a": 1}
-        failure = Reply.failure(DataLinksError("nope"))
-        with pytest.raises(DataLinksError):
-            failure.unwrap()

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import compileall
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -37,6 +38,10 @@ E14_LARGE_MAX_PROFILE_CALLS = 13_890_412
 REQUIRED_ENTRY_FIELDS = ("experiment_id", "title", "headers", "rows",
                         "sim_ms", "wall_clock_s")
 
+#: A module-level boolean switch (``FAST_PATH = True``): the shape every
+#: retired debug flag had.
+MODULE_SWITCH = re.compile(r"^[A-Z_]+ *= *(True|False)\b", re.MULTILINE)
+
 
 def test_every_source_file_compiles():
     """``python -m compileall src``: no syntax error hides behind an
@@ -44,6 +49,19 @@ def test_every_source_file_compiles():
 
     assert compileall.compile_dir(str(SRC_ROOT), quiet=2, force=False), \
         "a file under src/ failed to byte-compile (syntax error)"
+
+
+def test_no_module_level_boolean_switches():
+    """One code path per operation: no ``src/`` module may keep a second
+    implementation behind a module-level ``NAME = True/False`` flag."""
+
+    hits = [f"{path.relative_to(REPO_ROOT)}:"
+            f"{text.count(chr(10), 0, match.start()) + 1}: {match.group(0)}"
+            for path in sorted(SRC_ROOT.rglob("*.py"))
+            for text in [path.read_text(encoding="utf-8")]
+            for match in MODULE_SWITCH.finditer(text)]
+    assert not hits, "module-level boolean switches found:\n" + \
+        "\n".join(hits)
 
 
 class TestCommittedArtifactShape:

@@ -1,16 +1,14 @@
-"""Batched charge application vs the per-record reference path.
+"""Batched charge application equals the scalar charges it stands for.
 
 ``SimClock.charge_run`` and ``SimClock.charge_batch`` accumulate a whole
 run of charges in a local ledger and write the clock and its statistics
-back once.  The module flag :data:`repro.simclock.BATCHED_CHARGES` gates
-the fast path: when ``False`` both methods replay every event through the
-scalar :meth:`~repro.simclock.SimClock.charge` reference implementation.
-
-These tests assert the two modes are *bit-identical* -- every
-:class:`~repro.simclock.ClockStats` label's count and total, every
-domain's timestamp, and the cluster wall clock -- first on seeded random
-charge programs, then on the real E1/E11/E14 smoke-configuration
-workloads, whose hot paths are exactly what the ledger exists for.
+back once.  Scalar :meth:`~repro.simclock.SimClock.charge` is the
+reference: every seeded random charge program below runs twice on fresh
+clock groups -- once through the batched calls, once with each batched
+call replayed event by event through ``charge`` -- and the two must be
+*bit-identical*: every :class:`~repro.simclock.ClockStats` label's count
+and total (per domain and merged), every domain's timestamp, and the
+cluster wall clock.
 """
 
 from __future__ import annotations
@@ -19,7 +17,6 @@ import random
 
 import pytest
 
-import repro.simclock as simclock
 from repro.simclock import ClockDomainGroup, CostModel
 
 PRIMITIVES = ["sql_statement_base", "row_write", "row_read", "log_write",
@@ -44,138 +41,93 @@ def _group_snapshot(group: ClockDomainGroup) -> dict:
     }
 
 
-def _with_flag(monkeypatch, value: bool, scenario):
-    monkeypatch.setattr(simclock, "BATCHED_CHARGES", value)
-    return scenario()
+def _program(seed: int) -> list:
+    """A seeded random program of charges, runs, batches and merges."""
+
+    rng = random.Random(seed)
+    steps = []
+    for _ in range(300):
+        node = rng.randrange(3)
+        action = rng.randrange(4)
+        if action == 0:
+            steps.append(("charge", node, rng.choice(PRIMITIVES),
+                          rng.randrange(1, 3), rng.choice([1.0, 0.1])))
+        elif action == 1:
+            steps.append(("run", node, rng.choice(PRIMITIVES),
+                          rng.randrange(0, 6), rng.choice([1.0, 0.1]),
+                          rng.choice([None, "scoped.run"])))
+        elif action == 2:
+            events = tuple(
+                (rng.choice(PRIMITIVES), rng.choice([1.0, 0.1]),
+                 rng.choice([None, "scoped.batch"]))
+                for _ in range(rng.randrange(1, 4)))
+            steps.append(("batch", node, events, rng.randrange(0, 5)))
+        else:
+            # Cross-domain merges between charges, so ledger write-backs
+            # interleave with externally moved clocks.
+            steps.append(("sync", node, rng.randrange(3)))
+    return steps
 
 
-class TestChargeProgramIdentity:
-    """Seeded random programs of charge/charge_run/charge_batch."""
-
-    def _run_program(self, seed: int) -> dict:
-        rng = random.Random(seed)
-        group = ClockDomainGroup(CostModel())
-        domains = [group.domain(f"node{index}") for index in range(3)]
-        compiled = {}
-        for step in range(300):
-            domain = rng.choice(domains)
-            action = rng.randrange(4)
-            if action == 0:
-                domain.charge(rng.choice(PRIMITIVES),
-                              times=rng.randrange(1, 3),
-                              scale=rng.choice([1.0, 0.1]))
-            elif action == 1:
-                domain.charge_run(rng.choice(PRIMITIVES),
-                                  rng.randrange(0, 6),
-                                  scale=rng.choice([1.0, 0.1]),
-                                  label=rng.choice([None, "scoped.run"]))
-            elif action == 2:
-                events = tuple(
-                    (rng.choice(PRIMITIVES), rng.choice([1.0, 0.1]),
-                     rng.choice([None, "scoped.batch"]))
-                    for _ in range(rng.randrange(1, 4)))
+def _execute(steps: list, *, batched: bool) -> dict:
+    group = ClockDomainGroup(CostModel())
+    domains = [group.domain(f"node{index}") for index in range(3)]
+    compiled = {}
+    for step in steps:
+        kind, domain = step[0], domains[step[1]]
+        if kind == "charge":
+            _, _, primitive, times, scale = step
+            domain.charge(primitive, times=times, scale=scale)
+        elif kind == "run":
+            _, _, primitive, times, scale, label = step
+            if batched:
+                domain.charge_run(primitive, times, scale=scale, label=label)
+            else:
+                for _ in range(times):
+                    domain.charge(primitive, scale=scale, label=label)
+        elif kind == "batch":
+            _, _, events, cycles = step
+            if batched:
                 key = (domain.name, events)
                 if key not in compiled:
                     compiled[key] = domain.compile_charges(events)
-                domain.charge_batch(compiled[key], rng.randrange(0, 5))
+                domain.charge_batch(compiled[key], cycles)
             else:
-                # Cross-domain merges between charges, so ledger
-                # write-backs interleave with externally moved clocks.
-                other = rng.choice(domains)
-                other.sync_to(domain.send_time())
-        return _group_snapshot(group)
+                for _ in range(cycles):
+                    for primitive, scale, label in events:
+                        domain.charge(primitive, scale=scale, label=label)
+        else:
+            domains[step[2]].sync_to(domain.send_time())
+    return _group_snapshot(group)
+
+
+class TestChargeProgramIdentity:
+    """Seeded random programs: batched calls vs scalar ``charge`` replay."""
 
     @pytest.mark.parametrize("seed", [7, 20260807, 424242])
-    def test_fast_path_matches_scalar_reference(self, seed, monkeypatch):
-        fast = _with_flag(monkeypatch, True, lambda: self._run_program(seed))
-        reference = _with_flag(monkeypatch, False,
-                               lambda: self._run_program(seed))
-        assert fast == reference
+    def test_batched_calls_match_scalar_charges(self, seed):
+        steps = _program(seed)
+        assert _execute(steps, batched=True) == \
+            _execute(steps, batched=False)
 
-    def test_flag_actually_gates_the_path(self, monkeypatch):
-        """Sanity: the reference mode really routes through ``charge``."""
+    def test_charge_run_returns_the_charged_total(self):
+        group = ClockDomainGroup(CostModel())
+        batched = group.domain("a")
+        scalar = group.domain("b")
+        charged = batched.charge_run("row_write", 4, scale=0.1)
+        expected = 0.0
+        for _ in range(4):
+            expected += scalar.charge("row_write", scale=0.1)
+        assert charged == expected
+        assert batched.now() == scalar.now()
 
-        calls = []
-        original = simclock.SimClock.charge
-
-        def counting_charge(self, primitive, **kwargs):
-            calls.append(primitive)
-            return original(self, primitive, **kwargs)
-
-        monkeypatch.setattr(simclock.SimClock, "charge", counting_charge)
-        monkeypatch.setattr(simclock, "BATCHED_CHARGES", False)
-        clock = simclock.SimClock()
-        clock.charge_run("row_write", 4)
-        clock.charge_batch(clock.compile_charges(
-            [("row_read", 1.0, None)]), 3)
-        assert calls == ["row_write"] * 4 + ["row_read"] * 3
-        calls.clear()
-        monkeypatch.setattr(simclock, "BATCHED_CHARGES", True)
-        clock.charge_run("row_write", 4)
-        assert calls == []
-
-
-class TestSmokeWorkloadLedgerIdentity:
-    """The real E1/E11/E14 smoke configurations, flag on vs off."""
-
-    def _run_e1(self) -> dict:
-        from repro.bench.experiments import FILES_TABLE, build_microsystem
-        from repro.datalinks.control_modes import ControlMode
-
-        system, owner, _ = build_microsystem(ControlMode.RDB, size=4096,
-                                             files=10)
-        for _ in range(2):
-            system.engine.select(FILES_TABLE, {"file_id": 3}, lock=False)
-            system.engine.get_datalink(FILES_TABLE, {"file_id": 3}, "doc",
-                                       access="read")
-        return _group_snapshot(system.clocks)
-
-    def _run_e11(self) -> dict:
-        from repro.bench.experiments import SMOKE_PARAMS
-        from repro.datalinks.control_modes import ControlMode
-        from repro.workloads.scaleout import ScaleOutConfig, ScaleOutWorkload
-
-        params = SMOKE_PARAMS["E11"]
-        config = ScaleOutConfig(shards=params["shards"],
-                                clients=params["clients"],
-                                transactions_per_client=params[
-                                    "transactions_per_client"],
-                                rows_per_transaction=params[
-                                    "rows_per_transaction"],
-                                file_size=params["file_size"],
-                                control_mode=ControlMode.RDB)
-        workload = ScaleOutWorkload(config).setup()
-        workload.run()
-        return _group_snapshot(workload.deployment.clocks)
-
-    def _run_e14(self) -> dict:
-        from repro.bench.experiments import SMOKE_PARAMS
-        from repro.datalinks.balancer import BalancerConfig
-        from repro.workloads.hotspot import HotspotConfig, HotspotWorkload
-
-        params = SMOKE_PARAMS["E14"]
-        config = HotspotConfig(
-            shards=params["shards"], prefixes=params["prefixes"],
-            rounds=params["rounds"],
-            links_per_round=params["links_per_round"],
-            reads_per_round=params["reads_per_round"],
-            file_size=params["file_size"],
-            balancer=BalancerConfig(window_ops_min=8, move_budget=2,
-                                    cooldown_ticks=1,
-                                    imbalance_tolerance=1.1,
-                                    split_threshold=0.6))
-        workload = HotspotWorkload(config).setup()
-        workload.run()
-        return _group_snapshot(workload.deployment.system.clocks)
-
-    @pytest.mark.parametrize("scenario", ["_run_e1", "_run_e11", "_run_e14"])
-    def test_every_label_count_and_total_matches(self, scenario, monkeypatch):
-        runner = getattr(self, scenario)
-        fast = _with_flag(monkeypatch, True, runner)
-        reference = _with_flag(monkeypatch, False, runner)
-        assert set(fast["merged"]) == set(reference["merged"])
-        for label, cell in reference["merged"].items():
-            assert fast["merged"][label] == cell, (
-                f"label {label!r}: batched {fast['merged'][label]} != "
-                f"per-record reference {cell}")
-        assert fast == reference
+    def test_empty_runs_and_batches_charge_nothing(self):
+        group = ClockDomainGroup(CostModel())
+        domain = group.domain("a")
+        assert domain.charge_run("row_read", 0) == 0.0
+        domain.charge_batch(domain.compile_charges(
+            [("row_read", 1.0, None)]), 0)
+        domain.charge_batch(domain.compile_charges([]), 3)
+        assert domain.now() == 0.0
+        assert _stats_cells(domain.stats) == {}
+        assert _stats_cells(group.stats) == {}

@@ -1,22 +1,12 @@
-"""Bulk per-link fast paths vs their scalar reference implementations.
+"""The bulk per-link paths: ``scan_max``, point selects, token handout.
 
-Three module flags gate the million-link-tier fast paths:
-
-* :data:`repro.storage.database.FAST_SCANS` -- the unlocked point-SELECT
-  short cut;
-* :data:`repro.datalinks.engine.BULK_TOKEN_HANDOUT` -- the batched
-  ``get_datalink_many`` host transaction that mints a whole read plan's
-  tokens without the per-call session/engine dispatch frames;
-* :data:`repro.workloads.audit.BATCHED_AUDIT` -- the committed-link audit
-  with its per-row machinery hoisted out of the loop.
-
-Every fast path must be *bit-identical* to the scalar reference it
-replaces: same result values, same token streams, and the same simulated
-ledger -- every :class:`~repro.simclock.ClockStats` label's count and
-total, every domain timestamp, and the cluster wall clock.  These tests
-assert that first on seeded random programs against twin reference
-implementations, then flag-on vs flag-off on the real E1/E9/E14
-smoke-configuration workloads (E14 includes the end-of-run audit).
+* :meth:`~repro.storage.database.Database.scan_max` is modelled as a DBMS
+  ``MAX(pk)`` whose cached maximum survives every kind of mutation;
+* the unlocked point-SELECT short cut returns exactly the rows a heap scan
+  finds and charges what an index lookup costs;
+* ``get_datalink_many`` mints a whole read plan's tokens, and a batch
+  equals the one-row handouts it stands for -- same URLs, same token
+  stream, same simulated ledger.
 """
 
 from __future__ import annotations
@@ -25,19 +15,11 @@ import random
 
 import pytest
 
-import repro.datalinks.engine as engine_module
-import repro.storage.database as database_module
-import repro.workloads.audit as audit_module
 from repro.errors import SchemaError
 from repro.simclock import SimClock
 from repro.storage.database import Database
 from repro.storage.schema import Column, TableSchema
 from repro.storage.values import DataType
-
-#: The fast-path flags toggled together by the workload-level tests.
-FLAGS = ((database_module, "FAST_SCANS"),
-         (engine_module, "BULK_TOKEN_HANDOUT"),
-         (audit_module, "BATCHED_AUDIT"))
 
 
 def _stats_cells(stats) -> dict:
@@ -58,10 +40,12 @@ def _group_snapshot(group) -> dict:
     }
 
 
-def _with_flags(monkeypatch, value: bool, scenario):
-    for module, name in FLAGS:
-        monkeypatch.setattr(module, name, value)
-    return scenario()
+def _charged_counts(before: dict, after: dict) -> dict:
+    """``{label: count}`` charged between two :func:`_stats_cells` views."""
+
+    return {label: cell[0] - before.get(label, (0, 0.0))[0]
+            for label, cell in after.items()
+            if cell != before.get(label)}
 
 
 def _make_docs_db(clock=None) -> Database:
@@ -128,10 +112,7 @@ class TestScanMaxIdentity:
                 before = _stats_cells(db.clock.stats)
                 got = db.scan_max("docs", "k")
                 assert got == (max(keys) if keys else None)
-                after = _stats_cells(db.clock.stats)
-                charged = {label: (cell[0] - before.get(label, (0, 0.0))[0])
-                           for label, cell in after.items()
-                           if cell != before.get(label)}
+                charged = _charged_counts(before, _stats_cells(db.clock.stats))
                 assert charged == {"sql_statement_base": 1, "index_probe": 1}
                 probes += 1
         assert probes > 10
@@ -192,183 +173,152 @@ class TestScanMaxIdentity:
         assert db.scan_max("docs", "k") == 20
 
 
-class TestPointSelectIdentity:
-    """Unlocked point selects, flag on vs flag off, across where shapes."""
+class TestPointSelect:
+    """Unlocked selects of every ``where`` shape return exactly the rows a
+    heap scan finds; index point selects charge one statement, one
+    ``index_probe`` for a primary-key lookup, and one ``row_read`` per
+    match."""
 
     _WHERE_SHAPES = (
         {"k": 3},            # single-PK hit
         {"k": 999},          # single-PK miss
         {"v": 6},            # secondary-index bucket (duplicates)
         {"v": -1},           # secondary-index miss
-        {"w": 2},            # unindexed column: general-path fallback
-        {"k": 3, "v": 9},    # two-column where: general-path fallback
+        {"w": 2},            # unindexed column: general path
+        {"k": 3, "v": 9},    # two-column where: general path
         None,                # full scan
         {},                  # empty where: general path
     )
 
-    def _scenario(self, seed: int) -> tuple:
+    @staticmethod
+    def _heap_rows(db, where) -> list:
+        return sorted((dict(row, _rid=rid)
+                       for rid, row in db._plan("docs").heap.scan_live()
+                       if all(row[column] == value
+                              for column, value in (where or {}).items())),
+                      key=lambda row: row["_rid"])
+
+    @pytest.mark.parametrize("seed", [5, 20260807, 909090])
+    def test_rows_and_charges_match_a_heap_scan(self, seed):
         rng = random.Random(seed)
         db = _make_docs_db()
         for key in range(40):
             db.insert("docs", {"k": key, "v": (key % 10) * 3, "w": key % 5})
         for victim in rng.sample(range(40), 6):
             db.delete("docs", {"k": victim})
-        results = []
-        for step in range(60):
+        for _ in range(60):
             where = self._WHERE_SHAPES[rng.randrange(len(self._WHERE_SHAPES))]
-            results.append(db.select("docs",
-                                     dict(where) if where is not None
-                                     else None, lock=False))
-        # Locked transactional selects must bypass the short cut entirely.
+            expected = self._heap_rows(db, where)
+            before = _stats_cells(db.clock.stats)
+            rows = db.select("docs", dict(where) if where is not None
+                             else None, lock=False)
+            charged = _charged_counts(before, _stats_cells(db.clock.stats))
+            assert sorted(rows, key=lambda row: row["_rid"]) == expected
+            if where is not None and len(where) == 1 and "w" not in where:
+                wanted = {"sql_statement_base": 1}
+                if "k" in where:
+                    wanted["index_probe"] = 1
+                if expected:
+                    wanted["row_read"] = len(expected)
+                assert charged == wanted, where
+
+    def test_composite_key_point_select(self):
+        db = Database("pairs", SimClock())
+        db.create_table(TableSchema("pairs", [
+            Column("a", DataType.INTEGER, nullable=False),
+            Column("b", DataType.INTEGER, nullable=False),
+            Column("v", DataType.INTEGER),
+        ], primary_key=("a", "b")))
+        for a in range(4):
+            for b in range(3):
+                db.insert("pairs", {"a": a, "b": b, "v": a * 10 + b})
+        for where, expected in (({"a": 2, "b": 1}, [21]),
+                                ({"b": 1, "a": 2}, [21]),
+                                ({"a": 9, "b": 0}, [])):
+            before = _stats_cells(db.clock.stats)
+            rows = db.select("pairs", where, lock=False)
+            charged = _charged_counts(before, _stats_cells(db.clock.stats))
+            assert [row["v"] for row in rows] == expected
+            wanted = {"sql_statement_base": 1, "index_probe": 1}
+            if expected:
+                wanted["row_read"] = 1
+            assert charged == wanted
+
+    def test_locked_select_takes_row_locks(self):
+        db = _make_docs_db()
+        db.insert("docs", {"k": 3, "v": 9, "w": 1})
         txn = db.begin()
-        results.append(db.select("docs", {"k": 3}, txn))
+        before = _stats_cells(db.clock.stats)
+        assert [row["k"] for row in db.select("docs", {"k": 3}, txn)] == [3]
+        charged = _charged_counts(before, _stats_cells(db.clock.stats))
+        assert charged["lock_acquire"] >= 1
         db.commit(txn)
-        return results, _stats_cells(db.clock.stats), db.clock.now()
-
-    @pytest.mark.parametrize("seed", [5, 20260807, 909090])
-    def test_fast_path_matches_general_path(self, seed, monkeypatch):
-        fast = _with_flags(monkeypatch, True, lambda: self._scenario(seed))
-        reference = _with_flags(monkeypatch, False,
-                                lambda: self._scenario(seed))
-        assert fast == reference
 
 
-class TestBulkHandoutTokenStream:
-    """``get_datalink_many`` vs the scalar per-where handout loop."""
+class TestBulkHandout:
+    """``get_datalink_many`` equals one ``get_datalink`` per ``where``."""
 
     _WHERES = ({"file_id": 3}, {"file_id": 1}, {"file_id": 3},
                {"file_id": 99}, {"file_id": 7}, {"file_id": 1},
                {"file_id": 0})
 
-    def _scenario(self) -> tuple:
-        from repro.bench.experiments import FILES_TABLE, build_microsystem
+    @staticmethod
+    def _system(files: int = 10):
+        from repro.bench.experiments import _build_system
         from repro.datalinks.control_modes import ControlMode
 
-        system, _, _ = build_microsystem(ControlMode.RDB, size=4096, files=10)
+        system, _, _ = _build_system(ControlMode.RDB, size=1024, files=files)
+        return system
+
+    def test_batch_equals_one_row_handouts(self):
+        from repro.bench.experiments import FILES_TABLE
+
+        system = self._system()
         urls = system.engine.get_datalink_many(
             FILES_TABLE, [dict(where) for where in self._WHERES], "doc",
             access="read")
-        return urls, _group_snapshot(system.clocks)
-
-    def test_urls_and_ledger_match_scalar_reference(self, monkeypatch):
-        fast = _with_flags(monkeypatch, True, self._scenario)
-        reference = _with_flags(monkeypatch, False, self._scenario)
-        urls, _ = fast
+        batched = (urls, _group_snapshot(system.clocks))
+        system = self._system()
+        urls = [system.engine.get_datalink(FILES_TABLE, dict(where), "doc",
+                                           access="read")
+                for where in self._WHERES]
+        single = (urls, _group_snapshot(system.clocks))
         assert urls[3] is None          # the miss stays a miss
         assert all(url is not None for index, url in enumerate(urls)
                    if index != 3)
-        assert fast == reference
+        assert batched == single
 
-    def test_write_access_errors_match_scalar_reference(self, monkeypatch):
-        from repro.bench.experiments import FILES_TABLE, build_microsystem
+    def test_non_datalink_column_raises(self):
+        from repro.bench.experiments import FILES_TABLE
+        from repro.errors import ControlModeError
+
+        system = self._system(files=2)
+        with pytest.raises(ControlModeError, match="not a DATALINK"):
+            system.engine.get_datalink_many(
+                FILES_TABLE, [{"file_id": 99}, {"file_id": 0}], "doc_size")
+
+    def test_modes_without_read_tokens_hand_out_plain_urls(self):
+        from repro.bench.experiments import FILES_TABLE, _build_system
         from repro.datalinks.control_modes import ControlMode
-        from repro.errors import DataLinksError
+        from repro.util.urls import parse_url
 
-        def attempt():
-            system, _, _ = build_microsystem(ControlMode.RDB, size=1024,
-                                             files=2)
-            # rdb blocks writes: the bulk path must raise the same
-            # refusal, at the same point, as the scalar handout.
-            with pytest.raises(DataLinksError) as excinfo:
-                system.engine.get_datalink_many(
-                    FILES_TABLE, [{"file_id": 0}], "doc", access="write")
-            return str(excinfo.value)
+        system, _, _ = _build_system(ControlMode.RFD, size=1024, files=2)
+        urls = system.engine.get_datalink_many(
+            FILES_TABLE, [{"file_id": 0}, {"file_id": 1}], "doc")
+        assert [parse_url(url).token for url in urls] == [None, None]
+        url = system.engine.get_datalink(FILES_TABLE, {"file_id": 0}, "doc",
+                                         access="write")
+        assert parse_url(url).token is not None
 
-        fast = _with_flags(monkeypatch, True, attempt)
-        reference = _with_flags(monkeypatch, False, attempt)
-        assert fast == reference
+    def test_write_access_on_read_only_mode_raises(self):
+        from repro.bench.experiments import FILES_TABLE
+        from repro.errors import ControlModeError
 
-    def test_flag_actually_gates_the_path(self, monkeypatch):
-        """Sanity: the reference mode really routes through ``get_datalink``."""
-
-        from repro.bench.experiments import FILES_TABLE, build_microsystem
-        from repro.datalinks.control_modes import ControlMode
-
-        calls = []
-        original = engine_module.DataLinksEngine.get_datalink
-
-        def counting(self, *args, **kwargs):
-            calls.append(args[0])
-            return original(self, *args, **kwargs)
-
-        monkeypatch.setattr(engine_module.DataLinksEngine, "get_datalink",
-                            counting)
-        system, _, _ = build_microsystem(ControlMode.RDB, size=1024, files=4)
-        wheres = [{"file_id": index} for index in range(4)]
-        monkeypatch.setattr(engine_module, "BULK_TOKEN_HANDOUT", False)
-        system.engine.get_datalink_many(FILES_TABLE, wheres, "doc")
-        assert len(calls) == 4
-        calls.clear()
-        monkeypatch.setattr(engine_module, "BULK_TOKEN_HANDOUT", True)
-        system.engine.get_datalink_many(FILES_TABLE, wheres, "doc")
-        assert calls == []
-
-
-class TestSmokeWorkloadLedgerIdentity:
-    """The real E1/E9/E14 smoke configurations, all flags on vs all off."""
-
-    def _run_e1(self) -> dict:
-        from repro.bench.experiments import FILES_TABLE, build_microsystem
-        from repro.datalinks.control_modes import ControlMode
-
-        system, _, _ = build_microsystem(ControlMode.RDB, size=4096, files=10)
-        for _ in range(2):
-            system.engine.select(FILES_TABLE, {"file_id": 3}, lock=False)
-            system.engine.get_datalink(FILES_TABLE, {"file_id": 3}, "doc",
-                                       access="read")
-        system.engine.get_datalink_many(
-            FILES_TABLE, [{"file_id": index} for index in (1, 3, 3, 99)],
-            "doc", access="read")
-        return _group_snapshot(system.clocks)
-
-    def _run_e9(self) -> dict:
-        from repro.bench.experiments import SMOKE_PARAMS
-        from repro.datalinks.control_modes import ControlMode
-        from repro.workloads.webserver import WebServerWorkload, WebSiteConfig
-
-        params = SMOKE_PARAMS["E9"]
-        config = WebSiteConfig(pages=params["pages"],
-                               operations=params["operations"],
-                               page_size=params["page_size"],
-                               file_servers=2,
-                               control_mode=ControlMode.RDD,
-                               clients=2)
-        workload = WebServerWorkload(config).setup()
-        workload.run()
-        return _group_snapshot(workload.system.clocks)
-
-    def _run_e14(self) -> dict:
-        from repro.bench.experiments import SMOKE_PARAMS
-        from repro.datalinks.balancer import BalancerConfig
-        from repro.workloads.hotspot import HotspotConfig, HotspotWorkload
-
-        params = SMOKE_PARAMS["E14"]
-        config = HotspotConfig(
-            shards=params["shards"], prefixes=params["prefixes"],
-            rounds=params["rounds"],
-            links_per_round=params["links_per_round"],
-            reads_per_round=params["reads_per_round"],
-            file_size=params["file_size"],
-            balancer=BalancerConfig(window_ops_min=8, move_budget=2,
-                                    cooldown_ticks=1,
-                                    imbalance_tolerance=1.1,
-                                    split_threshold=0.6))
-        workload = HotspotWorkload(config).setup()
-        metrics = workload.run()
-        snapshot = _group_snapshot(workload.deployment.system.clocks)
-        # The audit outcome rides along: the batched audit must count the
-        # exact same committed links lost as the scalar loop (zero here).
-        snapshot["counters"] = dict(metrics.counters)
-        return snapshot
-
-    @pytest.mark.parametrize("scenario", ["_run_e1", "_run_e9", "_run_e14"])
-    def test_every_label_count_and_total_matches(self, scenario, monkeypatch):
-        runner = getattr(self, scenario)
-        fast = _with_flags(monkeypatch, True, runner)
-        reference = _with_flags(monkeypatch, False, runner)
-        assert set(fast["merged"]) == set(reference["merged"])
-        for label, cell in reference["merged"].items():
-            assert fast["merged"][label] == cell, (
-                f"label {label!r}: bulk fast path {fast['merged'][label]} != "
-                f"scalar reference {cell}")
-        assert fast == reference
+        system = self._system(files=2)
+        # rdb blocks writes through the database.
+        with pytest.raises(ControlModeError, match="cannot be updated"):
+            system.engine.get_datalink_many(
+                FILES_TABLE, [{"file_id": 0}], "doc", access="write")
+        with pytest.raises(ControlModeError, match="cannot be updated"):
+            system.engine.get_datalink(FILES_TABLE, {"file_id": 1}, "doc",
+                                       access="write")

@@ -220,21 +220,16 @@ class TestShardedDeploymentTime:
             assert domain.now() >= before.get(name, 0.0)
 
 
-class TestCoalescedChannelEquivalence:
-    """The coalesced (envelope-free) exchange fast path vs the reference
-    Message/Reply path, across seeded random batch interleavings.
+class TestChannelTrafficProperties:
+    """Seeded random channel traffic: synchronous requests, pipelined
+    posts, ``post_group`` batches, handler failures, dead-daemon refusals
+    and scatter-gather windows, over cross-domain and same-domain
+    channels.  Every domain's clock is monotone, each domain's charge
+    cells count exactly the messages it sent or served, and handler
+    errors raise."""
 
-    :data:`repro.ipc.channel.COALESCED` gates whether an exchange calls the
-    daemon's ``dispatch`` directly or routes through ``handle`` with a full
-    envelope.  Both must charge the exact same costs in the exact same
-    order, so every domain's timestamp, the cluster wall clock, every
-    statistics cell and every returned payload must be identical -- over
-    random mixes of synchronous requests, pipelined posts, coalesced
-    ``post_group`` batches, handler failures, dead-daemon refusals and
-    scatter-gather windows."""
-
-    def _run_traffic(self, seed: int) -> dict:
-        from repro.errors import ReproError
+    def _run_traffic(self, seed: int, *, single_posts_as_groups=False) -> dict:
+        from repro.errors import DaemonUnavailableError, ReproError
         from repro.ipc.channel import Channel
         from repro.ipc.daemon import Daemon
 
@@ -256,8 +251,8 @@ class TestCoalescedChannelEquivalence:
                 raise ReproError("statement-time failure")
 
             def handle_lazy(self, cost=1):
-                # Method-style handler: resolved through the getattr
-                # fallback and cached on first dispatch.
+                # Method-style handler: resolved through ``dispatch``'s
+                # ``handle_<kind>`` fallback and cached on first use.
                 self.clock.charge("row_read", times=cost)
                 return {"lazy": cost}
 
@@ -269,87 +264,109 @@ class TestCoalescedChannelEquivalence:
                     for worker in workers]
         channels.append(Channel(local,
                                 host, latency_primitive="upcall_round_trip"))
+        daemons = workers + [local]
+        # Message counts, per daemon index: served, and refused while dead.
+        served = [0] * len(daemons)
+        refused = [0] * len(daemons)
+        posted = [0] * len(daemons)
+
+        def post(index, kind, **payload):
+            posted[index] += 1
+            if single_posts_as_groups:
+                return channels[index].post_group(kind, [payload])[0]
+            return channels[index].post(kind, **payload)
+
         rng = random.Random(seed)
         outcomes = []
+        last = {}
         for _ in range(250):
-            channel = rng.choice(channels)
+            index = rng.randrange(len(channels))
+            channel = channels[index]
             action = rng.randrange(7)
             if action == 0:
+                served[index] += 1
                 outcomes.append(channel.request("work",
                                                 cost=rng.randrange(1, 3)))
             elif action == 1:
-                outcomes.append(channel.post("work",
-                                             cost=rng.randrange(1, 3)))
+                served[index] += 1
+                outcomes.append(post(index, "work", cost=rng.randrange(1, 3)))
             elif action == 2:
                 payloads = [{"cost": rng.randrange(1, 3)}
                             for _ in range(rng.randrange(1, 4))]
+                served[index] += len(payloads)
+                posted[index] += len(payloads)
                 outcomes.extend(channel.post_group("work", payloads))
             elif action == 3:
-                exchange = channel.post if rng.randrange(2) else \
-                    channel.request
-                try:
-                    exchange("boom")
-                except ReproError as error:
-                    outcomes.append(type(error).__name__)
+                served[index] += 1
+                with pytest.raises(ReproError, match="statement-time"):
+                    if rng.randrange(2):
+                        post(index, "boom")
+                    else:
+                        channel.request("boom")
+                outcomes.append("boom")
             elif action == 4:
+                served[index] += 1
                 outcomes.append(channel.request("lazy",
                                                 cost=rng.randrange(1, 3)))
             elif action == 5:
-                # A dead daemon refuses both exchange styles; the attempt
-                # still costs the caller time.
-                channel._daemon.stop()
-                try:
+                # A dead daemon refuses the exchange; the attempt still
+                # costs the caller a round trip.
+                refused[index] += 1
+                daemons[index].stop()
+                with pytest.raises(DaemonUnavailableError):
                     channel.request("work")
-                except ReproError as error:
-                    outcomes.append(type(error).__name__)
-                channel._daemon.start()
+                daemons[index].start()
             else:
+                picked = rng.sample(range(len(channels)), 2)
                 with host.overlap():
-                    for fanned in rng.sample(channels, 2):
-                        outcomes.append(fanned.request("work", cost=1))
+                    for fanned in picked:
+                        served[fanned] += 1
+                        outcomes.append(channels[fanned].request("work",
+                                                                 cost=1))
+            for name, domain in group.domains.items():
+                assert domain.now() >= last.get(name, 0.0), name
+                last[name] = domain.now()
+        counts = {name: {label: cell[0]
+                         for label, cell in domain.stats._cells.items()}
+                  for name, domain in group.domains.items()}
+        for index, worker in enumerate(workers):
+            cells = counts[worker.clock.name]
+            assert worker.requests_served == served[index]
+            assert cells.get("daemon_dispatch", 0) == served[index]
+            assert cells.get("db_dlfm_message", 0) == served[index]
+        local_index = len(workers)
+        assert local.requests_served == served[local_index]
+        host_cells = counts["host"]
+        assert host_cells.get("daemon_dispatch", 0) == served[local_index]
+        assert host_cells.get("upcall_round_trip", 0) == \
+            served[local_index] + refused[local_index]
+        assert host_cells.get("db_dlfm_message", 0) == sum(refused[:local_index])
+        assert host_cells.get("message_send", 0) == sum(posted[:local_index])
         return {
             "outcomes": outcomes,
             "global": group.global_now(),
             "domains": {name: domain.now()
                         for name, domain in group.domains.items()},
+            "per_domain": {name: {label: (cell[0], cell[1])
+                                  for label, cell in
+                                  domain.stats._cells.items()}
+                           for name, domain in group.domains.items()},
             "stats": {label: (cell[0], cell[1])
                       for label, cell in group.stats._cells.items()},
-            "served": {worker.name: worker.requests_served
-                       for worker in workers + [local]},
         }
 
     @pytest.mark.parametrize("seed", [11, 20260807, 987654])
-    def test_fast_path_is_byte_identical_to_envelope_path(self, seed,
-                                                          monkeypatch):
-        from repro.ipc import channel as channel_module
+    def test_traffic_is_monotone_and_counts_every_message(self, seed):
+        # The counting and monotonicity assertions run inside.
+        assert self._run_traffic(seed)["outcomes"]
 
-        monkeypatch.setattr(channel_module, "COALESCED", True)
-        coalesced = self._run_traffic(seed)
-        monkeypatch.setattr(channel_module, "COALESCED", False)
-        reference = self._run_traffic(seed)
-        assert coalesced == reference
+    @pytest.mark.parametrize("seed", [11, 987654])
+    def test_post_is_a_one_message_post_group(self, seed):
+        """``post(k, **p)`` and ``post_group(k, [p])`` leave identical
+        ledgers: timestamps, every statistics cell and every result."""
 
-    def test_flag_actually_gates_the_envelope(self, monkeypatch):
-        """Sanity: the reference mode really allocates Message envelopes."""
-
-        from repro.ipc import channel as channel_module
-        from repro.ipc.daemon import Daemon
-
-        group = ClockDomainGroup(CostModel())
-        host, shard = group.domain("host"), group.domain("shard")
-        worker = Daemon("worker", shard)
-        worker.register("noop", lambda: {})
-        handled = []
-        original = worker.handle
-        worker.handle = lambda message: handled.append(message.kind) or \
-            original(message)
-        channel = channel_module.Channel(worker, host)
-        monkeypatch.setattr(channel_module, "COALESCED", True)
-        channel.request("noop")
-        assert handled == []
-        monkeypatch.setattr(channel_module, "COALESCED", False)
-        channel.request("noop")
-        assert handled == ["noop"]
+        assert self._run_traffic(seed) == \
+            self._run_traffic(seed, single_posts_as_groups=True)
 
 
 class TestPipelinedErrorLatency:

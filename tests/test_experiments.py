@@ -116,6 +116,26 @@ class TestExperimentClaims:
         result = experiment_e6()
         assert all(row["pass"] == "yes" for row in result.rows)
 
+    def test_e6_aborted_update_leaves_no_tracking_state(self):
+        """Rolling back an in-progress update restores the last committed
+        version and leaves no DLFM update-tracking rows behind."""
+
+        from repro.bench.experiments import FILES_TABLE, _build_system
+        from repro.datalinks.control_modes import ControlMode
+
+        system, owner, paths = _build_system(ControlMode.RFD, size=4096)
+        server = system.file_server("fs1")
+        before = server.files.read(paths[0])
+        for _ in range(2):
+            url = owner.get_datalink(FILES_TABLE, {"file_id": 0}, "doc",
+                                     access="write")
+            update = owner.update_file(url, truncate=True)
+            update.begin()
+            update.write(b"doomed partial content")
+            update.abort()
+            assert server.dlfm.repository.all_tracking() == []
+        assert server.files.read(paths[0]) == before
+
     def test_e7_coordinated_restore_consistency(self):
         result = experiment_e7()
         assert all(row["file_content_matches"] == "yes" for row in result.rows)
@@ -160,6 +180,32 @@ class TestExperimentClaims:
             replicated["follower_reads_per_sim_s"]
         # replication taxes the write path
         assert replicated["links_per_sim_s"] < baseline["links_per_sim_s"]
+
+    def test_e12_failover_promotes_once_and_taxes_only_writes(self):
+        """On the replicated run the witness is promoted exactly once and
+        every victim-prefix read succeeds after it; replication slows
+        link throughput but leaves healthy-primary read latency alone."""
+
+        from repro.workloads.failover import FailoverConfig, FailoverWorkload
+
+        runs = {}
+        for replication in (False, True):
+            workload = FailoverWorkload(FailoverConfig(
+                shards=4, files=24, reads_per_phase=24, file_size=1024,
+                replication=replication)).setup()
+            runs[replication] = (workload, workload.run())
+        baseline, baseline_metrics = runs[False]
+        replicated, replicated_metrics = runs[True]
+        assert baseline_metrics.counters["victim_reads_failed_after"] > 0
+        assert baseline.availability(baseline_metrics) == 0.0
+        assert replicated_metrics.stats("promotion").count == 1
+        assert replicated_metrics.counters.get(
+            "victim_reads_failed_after", 0) == 0
+        assert replicated.availability(replicated_metrics) == 1.0
+        assert replicated.link_throughput(replicated_metrics) < \
+            baseline.link_throughput(baseline_metrics)
+        assert replicated_metrics.stats("read").mean == pytest.approx(
+            baseline_metrics.stats("read").mean, rel=0.25)
 
     def test_e12_smoke_rows_have_availability_shape(self):
         """CI gate: the smoke-mode E12 rows (what BENCH_smoke.json records)

@@ -7,9 +7,8 @@ Three suites:
   delay that grows with queue depth, and a connection limit that is never
   exceeded (counted over the simulated ``[admitted_at, released_at)``
   hold intervals, since the Python call stack itself never nests);
-* equivalence tests for :data:`repro.simclock.SESSION_DOMAINS` -- a
-  single-client sweep is byte-identical with the flag on or off, and the
-  flag-off path degrades every pool to the serialized reference loop;
+* the shape of ``session_domains``: one domain per client, pooling at a
+  limit, and the serial-clock degradation to the base clock;
 * invariant tests for multi-client runs -- per-domain monotonicity and
   ``global_now`` dominance, the same contract
   ``tests/test_clock_domains.py`` pins for the node domains.
@@ -21,14 +20,11 @@ import random
 
 import pytest
 
-import repro.simclock as simclock
 from repro.api.admission import AdmissionController
 from repro.api.system import DataLinksSystem
 from repro.simclock import ClockDomainGroup, gather
 from repro.workloads.clients import ClientPool
-from repro.workloads.failover import FailoverConfig, FailoverWorkload
 from repro.workloads.hotspot import HotspotConfig, HotspotWorkload
-from repro.workloads.webserver import WebServerWorkload, WebSiteConfig
 
 
 class FakeClock:
@@ -125,7 +121,7 @@ class TestAdmissionProperties:
 
 
 class TestSessionDomainPooling:
-    """session_domains() shape: pooling, serial degradation, flag off."""
+    """session_domains() shape: pooling and serial degradation."""
 
     def test_each_client_gets_its_own_domain(self):
         group = ClockDomainGroup()
@@ -139,13 +135,6 @@ class TestSessionDomainPooling:
         assert len(clocks) == 7
         assert len({id(clock) for clock in clocks}) == 3
         assert clocks[0] is clocks[3] is clocks[6]
-
-    def test_flag_off_degrades_to_the_base_clock(self, monkeypatch):
-        monkeypatch.setattr(simclock, "SESSION_DOMAINS", False)
-        group = ClockDomainGroup()
-        base = group.domain("host")
-        clocks = group.session_domains(4, base)
-        assert clocks == [base] * 4
 
     def test_serial_group_degrades_to_the_base_clock(self):
         group = ClockDomainGroup(serial=True)
@@ -170,47 +159,6 @@ class TestSessionDomainPooling:
         assert instant == pytest.approx(1.25)
         assert host.now() == pytest.approx(1.25)
         assert all(clock.now() == pytest.approx(1.25) for clock in clients)
-
-
-class TestSessionDomainEquivalence:
-    """SESSION_DOMAINS on/off: single-client runs are byte-identical."""
-
-    @staticmethod
-    def _webserver_steps():
-        config = WebSiteConfig(pages=4, operations=10, page_size=4 * 1024,
-                               admission_limit=2, client_think_s=0.05)
-        workload = WebServerWorkload(config).setup()
-        return workload.run_session_sweep((1,))
-
-    @staticmethod
-    def _failover_steps():
-        config = FailoverConfig(shards=2, files=8, file_size=512,
-                                rows_per_transaction=4)
-        workload = FailoverWorkload(config).setup()
-        return workload.run_read_sweep((1,), reads_per_client=4,
-                                       admission_limit=2)
-
-    @pytest.mark.parametrize("steps", [_webserver_steps.__func__,
-                                       _failover_steps.__func__],
-                             ids=["webserver", "failover"])
-    def test_single_client_is_byte_identical(self, monkeypatch, steps):
-        monkeypatch.setattr(simclock, "SESSION_DOMAINS", True)
-        with_domains = steps()
-        monkeypatch.setattr(simclock, "SESSION_DOMAINS", False)
-        serialized = steps()
-        assert with_domains == serialized
-
-    def test_flag_off_serializes_multi_client_runs(self, monkeypatch):
-        """With the flag off every pool shares the host clock, so a
-        multi-session sweep degrades to single-session throughput."""
-
-        monkeypatch.setattr(simclock, "SESSION_DOMAINS", False)
-        config = WebSiteConfig(pages=4, operations=10, page_size=4 * 1024)
-        workload = WebServerWorkload(config).setup()
-        one, four = workload.run_session_sweep((1, 4))
-        assert four["ops_per_sim_s"] == pytest.approx(
-            one["ops_per_sim_s"], rel=0.2)
-        assert four["queue_p99_ms"] == 0.0
 
 
 class TestMultiClientInvariants:
@@ -244,6 +192,26 @@ class TestMultiClientInvariants:
             max(clock.now() for clock in pool.clocks))
         assert pool.latency.count == 18
         assert min(pool.queue_delay.samples) >= 0.0
+
+    def test_serial_clock_system_serializes_the_pool(self):
+        """A ``serial_clock=True`` system hands every client the host
+        clock, so think times add up instead of overlapping."""
+
+        elapsed = {}
+        for serial in (False, True):
+            system = DataLinksSystem(serial_clock=serial)
+            system.add_file_server("ser0")
+            session = system.session("seed", uid=920)
+            url = session.put_file("ser0", "/ser/doc.dat", b"z" * 2048)
+            pool = ClientPool(system, 4, think_s=0.05, prefix="ser",
+                              username="ser", uid_base=921)
+            pool.run(2, lambda s, i, o: s.read_url(url))
+            assert pool.latency.count == 8
+            assert all(clock is system.clock for clock in pool.clocks) \
+                == serial
+            elapsed[serial] = pool.elapsed_s
+        assert elapsed[True] >= 8 * 0.05
+        assert elapsed[False] < elapsed[True] / 2
 
     def test_admission_caps_concurrency_in_sim_time(self):
         """With a 1-slot gate and per-client domains the pool serializes:
