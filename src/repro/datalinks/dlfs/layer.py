@@ -103,6 +103,13 @@ class DataLinksFileSystem(FilterVFS):
         self._amt_filter = 0.0
 
     # ------------------------------------------------------------------ helpers --
+    def _prime(self, clock) -> None:
+        """Cache *clock*'s ``dlfs_filter`` amount for the inlined charges."""
+
+        self._amt_filter = clock.compile_charges(
+            (("dlfs_filter", 1.0, None),))[0][0]
+        self._primed_clock = clock
+
     def _charge(self) -> None:
         if self.clock is not None:
             self.clock.charge("dlfs_filter")
@@ -141,11 +148,7 @@ class DataLinksFileSystem(FilterVFS):
         clock = self.clock
         if clock is not None:
             if self._primed_clock is not clock:
-                try:
-                    self._amt_filter = clock._units["dlfs_filter"]
-                except KeyError:
-                    self._amt_filter = clock.costs.dlfs_filter
-                self._primed_clock = clock
+                self._prime(clock)
             amount = self._amt_filter
             clock._now += amount
             cells = clock.stats._cells
@@ -155,15 +158,6 @@ class DataLinksFileSystem(FilterVFS):
                 cell[1] += amount
             except KeyError:
                 cells["dlfs_filter"] = [1, amount]
-            mirror = clock._mirror_stats
-            if mirror is not None:
-                mcells = mirror._cells
-                try:
-                    cell = mcells["dlfs_filter"]
-                    cell[0] += 1
-                    cell[1] += amount
-                except KeyError:
-                    mcells["dlfs_filter"] = [1, amount]
         # split_token_from_name written out inline -- every pathname
         # resolution passes through here and most names carry no token.
         index = name.rfind(_TOKEN_SEPARATOR)
@@ -191,11 +185,7 @@ class DataLinksFileSystem(FilterVFS):
         clock = self.clock
         if clock is not None:
             if self._primed_clock is not clock:
-                try:
-                    self._amt_filter = clock._units["dlfs_filter"]
-                except KeyError:
-                    self._amt_filter = clock.costs.dlfs_filter
-                self._primed_clock = clock
+                self._prime(clock)
             amount = self._amt_filter
             clock._now += amount
             cells = clock.stats._cells
@@ -205,15 +195,6 @@ class DataLinksFileSystem(FilterVFS):
                 cell[1] += amount
             except KeyError:
                 cells["dlfs_filter"] = [1, amount]
-            mirror = clock._mirror_stats
-            if mirror is not None:
-                mcells = mirror._cells
-                try:
-                    cell = mcells["dlfs_filter"]
-                    cell[0] += 1
-                    cell[1] += amount
-                except KeyError:
-                    mcells["dlfs_filter"] = [1, amount]
         attrs = self.lower.fs_getattr(vnode, self.dbms_cred)
         wants_write = (flags._value_ & WRITE_MASK) != 0
         state = {"linked": False, "write": wants_write, "userid": cred.uid}
@@ -269,11 +250,7 @@ class DataLinksFileSystem(FilterVFS):
         clock = self.clock
         if clock is not None:
             if self._primed_clock is not clock:
-                try:
-                    self._amt_filter = clock._units["dlfs_filter"]
-                except KeyError:
-                    self._amt_filter = clock.costs.dlfs_filter
-                self._primed_clock = clock
+                self._prime(clock)
             amount = self._amt_filter
             clock._now += amount
             cells = clock.stats._cells
@@ -283,15 +260,6 @@ class DataLinksFileSystem(FilterVFS):
                 cell[1] += amount
             except KeyError:
                 cells["dlfs_filter"] = [1, amount]
-            mirror = clock._mirror_stats
-            if mirror is not None:
-                mcells = mirror._cells
-                try:
-                    cell = mcells["dlfs_filter"]
-                    cell[0] += 1
-                    cell[1] += amount
-                except KeyError:
-                    mcells["dlfs_filter"] = [1, amount]
         state = handle.layer_state.get(LAYER_KEY, {})
         self.lower.fs_close(handle, cred)
         if not state.get("linked"):

@@ -195,11 +195,6 @@ class ShardedDataLinksDeployment:
 
         return self.system.clocks
 
-    def global_now(self) -> float:
-        """Cluster wall-clock time: the max over every node's domain."""
-
-        return self.system.clocks.global_now()
-
     @property
     def host_db(self):
         return self.system.host_db

@@ -152,6 +152,13 @@ class LogicalFileSystem:
         raise fs_error(Errno.ENOENT, f"no file system mounted for {path!r}")
 
     # -------------------------------------------------------------- resolution --
+    def _prime(self, clock) -> None:
+        """Cache *clock*'s ``syscall_base`` amount for the inlined charges."""
+
+        self._amt_syscall = clock.compile_charges(
+            (("syscall_base", 1.0, None),))[0][0]
+        self._primed_clock = clock
+
     def _charge(self, primitive: str, *, times: int = 1) -> None:
         if self.clock is not None:
             self.clock.charge(primitive, times=times)
@@ -329,11 +336,7 @@ class LogicalFileSystem:
         clock = self.clock
         if clock is not None:
             if self._primed_clock is not clock:
-                try:
-                    self._amt_syscall = clock._units["syscall_base"]
-                except KeyError:
-                    self._amt_syscall = clock.costs.syscall_base
-                self._primed_clock = clock
+                self._prime(clock)
             amount = self._amt_syscall
             clock._now += amount
             cells = clock.stats._cells
@@ -343,15 +346,6 @@ class LogicalFileSystem:
                 cell[1] += amount
             except KeyError:
                 cells["syscall_base"] = [1, amount]
-            mirror = clock._mirror_stats
-            if mirror is not None:
-                mcells = mirror._cells
-                try:
-                    cell = mcells["syscall_base"]
-                    cell[0] += 1
-                    cell[1] += amount
-                except KeyError:
-                    mcells["syscall_base"] = [1, amount]
         # Probe the full-resolution cache inline: open() needs the parent
         # vnode when it has to fall back to fs_create, so it cannot use
         # the _lookup() wrapper (a second parent resolution would replay
@@ -391,11 +385,7 @@ class LogicalFileSystem:
         clock = self.clock
         if clock is not None:
             if self._primed_clock is not clock:
-                try:
-                    self._amt_syscall = clock._units["syscall_base"]
-                except KeyError:
-                    self._amt_syscall = clock.costs.syscall_base
-                self._primed_clock = clock
+                self._prime(clock)
             amount = self._amt_syscall
             clock._now += amount
             cells = clock.stats._cells
@@ -405,15 +395,6 @@ class LogicalFileSystem:
                 cell[1] += amount
             except KeyError:
                 cells["syscall_base"] = [1, amount]
-            mirror = clock._mirror_stats
-            if mirror is not None:
-                mcells = mirror._cells
-                try:
-                    cell = mcells["syscall_base"]
-                    cell[0] += 1
-                    cell[1] += amount
-                except KeyError:
-                    mcells["syscall_base"] = [1, amount]
         open_file = self._require_fd(fd)
         open_file.vfs.fs_close(open_file.handle, open_file.cred)
         del self._open_files[fd]
@@ -422,11 +403,7 @@ class LogicalFileSystem:
         clock = self.clock
         if clock is not None:
             if self._primed_clock is not clock:
-                try:
-                    self._amt_syscall = clock._units["syscall_base"]
-                except KeyError:
-                    self._amt_syscall = clock.costs.syscall_base
-                self._primed_clock = clock
+                self._prime(clock)
             amount = self._amt_syscall
             clock._now += amount
             cells = clock.stats._cells
@@ -436,15 +413,6 @@ class LogicalFileSystem:
                 cell[1] += amount
             except KeyError:
                 cells["syscall_base"] = [1, amount]
-            mirror = clock._mirror_stats
-            if mirror is not None:
-                mcells = mirror._cells
-                try:
-                    cell = mcells["syscall_base"]
-                    cell[0] += 1
-                    cell[1] += amount
-                except KeyError:
-                    mcells["syscall_base"] = [1, amount]
         open_file = self._require_fd(fd)
         if not (open_file.flags._value_ & READ_MASK):
             raise fs_error(Errno.EBADF, f"fd {fd} is not open for reading")
@@ -463,11 +431,7 @@ class LogicalFileSystem:
         clock = self.clock
         if clock is not None:
             if self._primed_clock is not clock:
-                try:
-                    self._amt_syscall = clock._units["syscall_base"]
-                except KeyError:
-                    self._amt_syscall = clock.costs.syscall_base
-                self._primed_clock = clock
+                self._prime(clock)
             amount = self._amt_syscall
             clock._now += amount
             cells = clock.stats._cells
@@ -477,15 +441,6 @@ class LogicalFileSystem:
                 cell[1] += amount
             except KeyError:
                 cells["syscall_base"] = [1, amount]
-            mirror = clock._mirror_stats
-            if mirror is not None:
-                mcells = mirror._cells
-                try:
-                    cell = mcells["syscall_base"]
-                    cell[0] += 1
-                    cell[1] += amount
-                except KeyError:
-                    mcells["syscall_base"] = [1, amount]
         open_file = self._require_fd(fd)
         if not (open_file.flags._value_ & WRITE_MASK):
             raise fs_error(Errno.EBADF, f"fd {fd} is not open for writing")
@@ -510,11 +465,7 @@ class LogicalFileSystem:
         clock = self.clock
         if clock is not None:
             if self._primed_clock is not clock:
-                try:
-                    self._amt_syscall = clock._units["syscall_base"]
-                except KeyError:
-                    self._amt_syscall = clock.costs.syscall_base
-                self._primed_clock = clock
+                self._prime(clock)
             amount = self._amt_syscall
             clock._now += amount
             cells = clock.stats._cells
@@ -524,15 +475,6 @@ class LogicalFileSystem:
                 cell[1] += amount
             except KeyError:
                 cells["syscall_base"] = [1, amount]
-            mirror = clock._mirror_stats
-            if mirror is not None:
-                mcells = mirror._cells
-                try:
-                    cell = mcells["syscall_base"]
-                    cell[0] += 1
-                    cell[1] += amount
-                except KeyError:
-                    mcells["syscall_base"] = [1, amount]
         vfs, vnode = self._resolve(path, cred)
         return vfs.fs_getattr(vnode, cred)
 
@@ -593,11 +535,7 @@ class LogicalFileSystem:
         clock = self.clock
         if clock is not None:
             if self._primed_clock is not clock:
-                try:
-                    self._amt_syscall = clock._units["syscall_base"]
-                except KeyError:
-                    self._amt_syscall = clock.costs.syscall_base
-                self._primed_clock = clock
+                self._prime(clock)
             amount = self._amt_syscall
             clock._now += amount
             cells = clock.stats._cells
@@ -607,15 +545,6 @@ class LogicalFileSystem:
                 cell[1] += amount
             except KeyError:
                 cells["syscall_base"] = [1, amount]
-            mirror = clock._mirror_stats
-            if mirror is not None:
-                mcells = mirror._cells
-                try:
-                    cell = mcells["syscall_base"]
-                    cell[0] += 1
-                    cell[1] += amount
-                except KeyError:
-                    mcells["syscall_base"] = [1, amount]
         vfs, vnode = self._resolve(path, cred)
         vfs.fs_setattr(vnode, cred, mode=mode)
 
@@ -623,11 +552,7 @@ class LogicalFileSystem:
         clock = self.clock
         if clock is not None:
             if self._primed_clock is not clock:
-                try:
-                    self._amt_syscall = clock._units["syscall_base"]
-                except KeyError:
-                    self._amt_syscall = clock.costs.syscall_base
-                self._primed_clock = clock
+                self._prime(clock)
             amount = self._amt_syscall
             clock._now += amount
             cells = clock.stats._cells
@@ -637,15 +562,6 @@ class LogicalFileSystem:
                 cell[1] += amount
             except KeyError:
                 cells["syscall_base"] = [1, amount]
-            mirror = clock._mirror_stats
-            if mirror is not None:
-                mcells = mirror._cells
-                try:
-                    cell = mcells["syscall_base"]
-                    cell[0] += 1
-                    cell[1] += amount
-                except KeyError:
-                    mcells["syscall_base"] = [1, amount]
         vfs, vnode = self._resolve(path, cred)
         vfs.fs_setattr(vnode, cred, uid=uid, gid=gid)
 

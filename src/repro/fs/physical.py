@@ -4,13 +4,15 @@ Implements every VFS entry point over inodes and a block device, with
 standard UNIX permission checks.  This is the layer DLFS sits on top of; it
 knows nothing about DataLinks.
 
-Every entry point charges its fixed primitives straight into the clock's
-stats cells (the body of :meth:`repro.simclock.SimClock.charge` written
-out): the VFS layer is the single hottest surface of the simulator and the
-call overhead of routing each fixed-cost event through the scalar charge
-path dominated whole-experiment profiles.  The inlined bookkeeping performs
-the identical float additions in the identical order, so simulated clocks
-and stats stay bit-identical to the scalar path.
+The per-operation entry points (lookup, open, close, read/write, getattr)
+charge their fixed primitives straight into the clock's stats cells (the
+body of :meth:`repro.simclock.SimClock.charge` written out): the VFS layer
+is the single hottest surface of the simulator and the call overhead of
+routing each fixed-cost event through the scalar charge path dominated
+whole-experiment profiles.  The inlined bookkeeping performs the identical
+float additions in the identical order, so simulated clocks and stats stay
+bit-identical to the scalar path.  The colder entry points call
+``clock.charge`` directly.
 """
 
 from __future__ import annotations
@@ -67,7 +69,6 @@ class PhysicalFileSystem(VFSOperations):
         self._primed_clock = None
         self._amt_vfs = 0.0
         self._amt_lookup = 0.0
-        self._amt_meta = 0.0
         self._amt_seek = 0.0
         self._unit_transfer = 0.0
         root = self._new_inode(FileType.DIRECTORY, DEFAULT_DIR_MODE, root_uid, root_gid)
@@ -84,15 +85,11 @@ class PhysicalFileSystem(VFSOperations):
 
         entries = clock.compile_charges(
             (("vfs_op", 1.0, None), ("directory_lookup", 1.0, None),
-             ("fs_metadata_update", 1.0, None), ("disk_seek", 1.0, None)))
+             ("disk_seek", 1.0, None), ("disk_transfer_per_byte", 1.0, None)))
         self._amt_vfs = entries[0][0]
         self._amt_lookup = entries[1][0]
-        self._amt_meta = entries[2][0]
-        self._amt_seek = entries[3][0]
-        try:
-            self._unit_transfer = clock._units["disk_transfer_per_byte"]
-        except KeyError:
-            self._unit_transfer = getattr(clock.costs, "disk_transfer_per_byte")
+        self._amt_seek = entries[2][0]
+        self._unit_transfer = entries[3][0]
         self._primed_clock = clock
 
     def _now(self) -> float:
@@ -176,21 +173,6 @@ class PhysicalFileSystem(VFSOperations):
                 cell[1] += second
             except KeyError:
                 cells["directory_lookup"] = [1, second]
-            mirror = clock._mirror_stats
-            if mirror is not None:
-                mcells = mirror._cells
-                try:
-                    cell = mcells["vfs_op"]
-                    cell[0] += 1
-                    cell[1] += amount
-                except KeyError:
-                    mcells["vfs_op"] = [1, amount]
-                try:
-                    cell = mcells["directory_lookup"]
-                    cell[0] += 1
-                    cell[1] += second
-                except KeyError:
-                    mcells["directory_lookup"] = [1, second]
         try:
             directory = self._inodes[dir_vnode.ino]
         except KeyError:
@@ -221,38 +203,11 @@ class PhysicalFileSystem(VFSOperations):
                            f"no entry {name!r} in inode {directory.ino}") from None
         return Vnode(fs_id=self.fs_id, ino=ino)
 
-    def _charge_one(self, clock, key: str, amount: float) -> None:
-        """Inline-helper twin of ``clock.charge(key)`` for cold call sites.
-
-        Kept as a method (one frame) where the caller is not hot enough to
-        justify writing the bookkeeping out; the arithmetic is identical.
-        """
-
-        clock._now += amount
-        cells = clock.stats._cells
-        try:
-            cell = cells[key]
-            cell[0] += 1
-            cell[1] += amount
-        except KeyError:
-            cells[key] = [1, amount]
-        mirror = clock._mirror_stats
-        if mirror is not None:
-            mcells = mirror._cells
-            try:
-                cell = mcells[key]
-                cell[0] += 1
-                cell[1] += amount
-            except KeyError:
-                mcells[key] = [1, amount]
-
     def fs_create(self, dir_vnode: Vnode, name: str, mode: int,
                   cred: Credentials) -> Vnode:
         clock = self.clock
         if clock is not None:
-            if self._primed_clock is not clock:
-                self._prime(clock)
-            self._charge_one(clock, "vfs_op", self._amt_vfs)
+            clock.charge("vfs_op")
         try:
             directory = self._inodes[dir_vnode.ino]
         except KeyError:
@@ -269,16 +224,14 @@ class PhysicalFileSystem(VFSOperations):
         directory.entries[name] = inode.ino
         directory.mtime = clock._now if clock is not None else 0.0
         if clock is not None:
-            self._charge_one(clock, "fs_metadata_update", self._amt_meta)
+            clock.charge("fs_metadata_update")
         return Vnode(fs_id=self.fs_id, ino=inode.ino)
 
     def fs_mkdir(self, dir_vnode: Vnode, name: str, mode: int,
                  cred: Credentials) -> Vnode:
         clock = self.clock
         if clock is not None:
-            if self._primed_clock is not clock:
-                self._prime(clock)
-            self._charge_one(clock, "vfs_op", self._amt_vfs)
+            clock.charge("vfs_op")
         try:
             directory = self._inodes[dir_vnode.ino]
         except KeyError:
@@ -296,15 +249,13 @@ class PhysicalFileSystem(VFSOperations):
         directory.entries[name] = inode.ino
         directory.mtime = clock._now if clock is not None else 0.0
         if clock is not None:
-            self._charge_one(clock, "fs_metadata_update", self._amt_meta)
+            clock.charge("fs_metadata_update")
         return Vnode(fs_id=self.fs_id, ino=inode.ino)
 
     def fs_remove(self, dir_vnode: Vnode, name: str, cred: Credentials) -> None:
         clock = self.clock
         if clock is not None:
-            if self._primed_clock is not clock:
-                self._prime(clock)
-            self._charge_one(clock, "vfs_op", self._amt_vfs)
+            clock.charge("vfs_op")
         try:
             directory = self._inodes[dir_vnode.ino]
         except KeyError:
@@ -326,7 +277,7 @@ class PhysicalFileSystem(VFSOperations):
                 self.device.free_block(block)
             del self._inodes[inode.ino]
         if clock is not None:
-            self._charge_one(clock, "fs_metadata_update", self._amt_meta)
+            clock.charge("fs_metadata_update")
 
     def fs_rmdir(self, dir_vnode: Vnode, name: str, cred: Credentials) -> None:
         self._charge("vfs_op")
@@ -370,9 +321,7 @@ class PhysicalFileSystem(VFSOperations):
     def fs_readdir(self, dir_vnode: Vnode, cred: Credentials) -> list[str]:
         clock = self.clock
         if clock is not None:
-            if self._primed_clock is not clock:
-                self._prime(clock)
-            self._charge_one(clock, "vfs_op", self._amt_vfs)
+            clock.charge("vfs_op")
         try:
             directory = self._inodes[dir_vnode.ino]
         except KeyError:
@@ -386,7 +335,7 @@ class PhysicalFileSystem(VFSOperations):
     def fs_open(self, vnode: Vnode, flags: OpenFlags, cred: Credentials) -> OpenHandle:
         # open/close/readwrite/getattr sit on the per-operation data path:
         # their fixed charges are unrolled like ``fs_lookup``'s, one frame
-        # fewer per syscall than the ``_charge_one`` helper.
+        # fewer per syscall than ``clock.charge``.
         clock = self.clock
         if clock is not None:
             if self._primed_clock is not clock:
@@ -400,15 +349,6 @@ class PhysicalFileSystem(VFSOperations):
                 cell[1] += amount
             except KeyError:
                 cells["vfs_op"] = [1, amount]
-            mirror = clock._mirror_stats
-            if mirror is not None:
-                mcells = mirror._cells
-                try:
-                    cell = mcells["vfs_op"]
-                    cell[0] += 1
-                    cell[1] += amount
-                except KeyError:
-                    mcells["vfs_op"] = [1, amount]
         try:
             inode = self._inodes[vnode.ino]
         except KeyError:
@@ -438,15 +378,6 @@ class PhysicalFileSystem(VFSOperations):
                 cell[1] += amount
             except KeyError:
                 cells["vfs_op"] = [1, amount]
-            mirror = clock._mirror_stats
-            if mirror is not None:
-                mcells = mirror._cells
-                try:
-                    cell = mcells["vfs_op"]
-                    cell[0] += 1
-                    cell[1] += amount
-                except KeyError:
-                    mcells["vfs_op"] = [1, amount]
         # The native file system has no per-open state beyond the handle.
 
     def fs_readwrite(self, vnode: Vnode, offset: int, *, data: bytes | None = None,
@@ -464,15 +395,6 @@ class PhysicalFileSystem(VFSOperations):
                 cell[1] += amount
             except KeyError:
                 cells["vfs_op"] = [1, amount]
-            mirror = clock._mirror_stats
-            if mirror is not None:
-                mcells = mirror._cells
-                try:
-                    cell = mcells["vfs_op"]
-                    cell[0] += 1
-                    cell[1] += amount
-                except KeyError:
-                    mcells["vfs_op"] = [1, amount]
         try:
             inode = self._inodes[vnode.ino]
         except KeyError:
@@ -508,21 +430,6 @@ class PhysicalFileSystem(VFSOperations):
                     cell[1] += transfer
                 except KeyError:
                     cells["disk_transfer_per_byte"] = [1, transfer]
-                mirror = clock._mirror_stats
-                if mirror is not None:
-                    mcells = mirror._cells
-                    try:
-                        cell = mcells["disk_seek"]
-                        cell[0] += 1
-                        cell[1] += amount
-                    except KeyError:
-                        mcells["disk_seek"] = [1, amount]
-                    try:
-                        cell = mcells["disk_transfer_per_byte"]
-                        cell[0] += 1
-                        cell[1] += transfer
-                    except KeyError:
-                        mcells["disk_transfer_per_byte"] = [1, transfer]
             self._write_range(inode, offset, data)
             inode.mtime = clock._now if clock is not None else 0.0
             inode.ctime = inode.mtime
@@ -537,15 +444,6 @@ class PhysicalFileSystem(VFSOperations):
                 cell[1] += amount
             except KeyError:
                 cells["disk_seek"] = [1, amount]
-            mirror = clock._mirror_stats
-            if mirror is not None:
-                mcells = mirror._cells
-                try:
-                    cell = mcells["disk_seek"]
-                    cell[0] += 1
-                    cell[1] += amount
-                except KeyError:
-                    mcells["disk_seek"] = [1, amount]
         content = self._read_range(inode, offset, length)
         if clock is not None:
             nbytes = len(content)
@@ -559,15 +457,6 @@ class PhysicalFileSystem(VFSOperations):
                 cell[1] += transfer
             except KeyError:
                 cells["disk_transfer_per_byte"] = [1, transfer]
-            mirror = clock._mirror_stats
-            if mirror is not None:
-                mcells = mirror._cells
-                try:
-                    cell = mcells["disk_transfer_per_byte"]
-                    cell[0] += 1
-                    cell[1] += transfer
-                except KeyError:
-                    mcells["disk_transfer_per_byte"] = [1, transfer]
         inode.atime = clock._now if clock is not None else 0.0
         return content
 
@@ -585,15 +474,6 @@ class PhysicalFileSystem(VFSOperations):
                 cell[1] += amount
             except KeyError:
                 cells["vfs_op"] = [1, amount]
-            mirror = clock._mirror_stats
-            if mirror is not None:
-                mcells = mirror._cells
-                try:
-                    cell = mcells["vfs_op"]
-                    cell[0] += 1
-                    cell[1] += amount
-                except KeyError:
-                    mcells["vfs_op"] = [1, amount]
         try:
             return self._inodes[vnode.ino].attributes()
         except KeyError:
@@ -612,9 +492,7 @@ class PhysicalFileSystem(VFSOperations):
 
         clock = self.clock
         if clock is not None:
-            if self._primed_clock is not clock:
-                self._prime(clock)
-            self._charge_one(clock, "vfs_op", self._amt_vfs)
+            clock.charge("vfs_op")
         try:
             inode = self._inodes[vnode.ino]
         except KeyError:
@@ -642,15 +520,13 @@ class PhysicalFileSystem(VFSOperations):
             inode.atime = float(attrs["atime"])
         inode.ctime = clock._now if clock is not None else 0.0
         if clock is not None:
-            self._charge_one(clock, "fs_metadata_update", self._amt_meta)
+            clock.charge("fs_metadata_update")
         return inode.attributes()
 
     def fs_lockctl(self, vnode: Vnode, request: LockRequest, cred: Credentials) -> bool:
         clock = self.clock
         if clock is not None:
-            if self._primed_clock is not clock:
-                self._prime(clock)
-            self._charge_one(clock, "vfs_op", self._amt_vfs)
+            clock.charge("vfs_op")
         return self.locks.apply(vnode.ino, request)
 
     # ------------------------------------------------------------- block helpers --

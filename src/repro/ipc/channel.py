@@ -65,10 +65,7 @@ class Channel:
         def _unit(target, primitive):
             if target is None:
                 return 0.0
-            try:
-                return target._units[primitive]
-            except KeyError:
-                return getattr(target.costs, primitive)
+            return target.compile_charges(((primitive, 1.0, None),))[0][0]
         self._amt_caller_lat = _unit(clock, latency_primitive)
         self._amt_callee_lat = _unit(self._callee_clock, latency_primitive)
         self._amt_caller_send = _unit(clock, "message_send")
@@ -108,15 +105,6 @@ class Channel:
                 cell[1] += amount
             except KeyError:
                 cells[key] = [1, amount]
-            mirror = callee._mirror_stats
-            if mirror is not None:
-                mcells = mirror._cells
-                try:
-                    cell = mcells[key]
-                    cell[0] += 1
-                    cell[1] += amount
-                except KeyError:
-                    mcells[key] = [1, amount]
         elif caller is not None:
             amount = self._amt_caller_lat
             caller._now += amount
@@ -128,15 +116,6 @@ class Channel:
                 cell[1] += amount
             except KeyError:
                 cells[key] = [1, amount]
-            mirror = caller._mirror_stats
-            if mirror is not None:
-                mcells = mirror._cells
-                try:
-                    cell = mcells[key]
-                    cell[0] += 1
-                    cell[1] += amount
-                except KeyError:
-                    mcells[key] = [1, amount]
         epoch_provider = self._epoch_provider
         epoch = epoch_provider() if epoch_provider is not None else None
         try:
@@ -216,15 +195,6 @@ class Channel:
                     cell[1] += amount
                 except KeyError:
                     cells[latency] = [1, amount]
-                mirror = callee._mirror_stats
-                if mirror is not None:
-                    mcells = mirror._cells
-                    try:
-                        cell = mcells[latency]
-                        cell[0] += 1
-                        cell[1] += amount
-                    except KeyError:
-                        mcells[latency] = [1, amount]
                 amount = self._amt_caller_send
                 caller._now += amount
                 cells = caller.stats._cells
@@ -234,15 +204,6 @@ class Channel:
                     cell[1] += amount
                 except KeyError:
                     cells["message_send"] = [1, amount]
-                mirror = caller._mirror_stats
-                if mirror is not None:
-                    mcells = mirror._cells
-                    try:
-                        cell = mcells["message_send"]
-                        cell[0] += 1
-                        cell[1] += amount
-                    except KeyError:
-                        mcells["message_send"] = [1, amount]
             elif caller is not None:
                 amount = self._amt_caller_lat
                 caller._now += amount
@@ -253,15 +214,6 @@ class Channel:
                     cell[1] += amount
                 except KeyError:
                     cells[latency] = [1, amount]
-                mirror = caller._mirror_stats
-                if mirror is not None:
-                    mcells = mirror._cells
-                    try:
-                        cell = mcells[latency]
-                        cell[0] += 1
-                        cell[1] += amount
-                    except KeyError:
-                        mcells[latency] = [1, amount]
             epoch = epoch_provider() if epoch_provider is not None else None
             try:
                 results.append(dispatch(kind, payload, epoch))

@@ -58,10 +58,8 @@ class Daemon:
             # runs once per upcall/replication message, and the fixed
             # amount is cached on first use per clock.
             if self._primed_clock is not clock:
-                try:
-                    self._amt_dispatch = clock._units["daemon_dispatch"]
-                except KeyError:
-                    self._amt_dispatch = clock.costs.daemon_dispatch
+                self._amt_dispatch = clock.compile_charges(
+                    (("daemon_dispatch", 1.0, None),))[0][0]
                 self._primed_clock = clock
             amount = self._amt_dispatch
             clock._now += amount
@@ -72,15 +70,6 @@ class Daemon:
                 cell[1] += amount
             except KeyError:
                 cells["daemon_dispatch"] = [1, amount]
-            mirror = clock._mirror_stats
-            if mirror is not None:
-                mcells = mirror._cells
-                try:
-                    cell = mcells["daemon_dispatch"]
-                    cell[0] += 1
-                    cell[1] += amount
-                except KeyError:
-                    mcells["daemon_dispatch"] = [1, amount]
         if self.epoch_gate is not None and placement_epoch is not None:
             self.epoch_gate(placement_epoch)
         try:

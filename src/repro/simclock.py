@@ -128,9 +128,8 @@ class ClockStats:
 
     Counts and totals live in one plain dict of ``[count, total]`` cells so
     the per-charge bookkeeping is a single dict probe plus two in-place
-    updates with no tuple allocation -- this runs on every single
-    ``charge()`` and (for clock domains) twice, so it is the hottest code
-    in the simulator.
+    updates with no tuple allocation -- this runs once on every single
+    ``charge()``, so it is the hottest code in the simulator.
     """
 
     __slots__ = ("_cells",)
@@ -138,14 +137,6 @@ class ClockStats:
     def __init__(self):
         #: label -> [count, total] (a mutable cell updated in place).
         self._cells: dict[str, list] = {}
-
-    def record(self, label: str, amount: float) -> None:
-        try:
-            cell = self._cells[label]
-            cell[0] += 1
-            cell[1] += amount
-        except KeyError:
-            self._cells[label] = [1, amount]
 
     def total(self, label: str) -> float:
         cell = self._cells.get(label)
@@ -180,6 +171,38 @@ class ClockStats:
         """Total simulated seconds charged across every label."""
 
         return sum(cell[1] for cell in self._cells.values())
+
+
+class GroupStats(ClockStats):
+    """Cluster-wide charge counters of a :class:`ClockDomainGroup`.
+
+    Nothing is recorded here: every read sums the per-domain
+    :class:`ClockStats` of the group's domains as they are at that moment,
+    so a reference taken once sees later charges and domains created
+    later.  Counts are exact; a total is the sum of the domain totals (in
+    domain-creation order).
+    """
+
+    __slots__ = ("_domains",)
+
+    def __init__(self, domains: dict):
+        self._domains = domains
+
+    @property
+    def _cells(self) -> dict:
+        """The merged ``label -> [count, total]`` cells, built afresh on
+        every read; every inherited :class:`ClockStats` reader uses it."""
+
+        merged: dict[str, list] = {}
+        for domain in self._domains.values():
+            for label, (count, total) in domain.stats._cells.items():
+                try:
+                    cell = merged[label]
+                    cell[0] += count
+                    cell[1] += total
+                except KeyError:
+                    merged[label] = [count, total]
+        return merged
 
 
 class SimClock:
@@ -218,9 +241,6 @@ class SimClock:
         self.name = name
         self._now = float(start)
         self.stats = ClockStats()
-        #: Second :class:`ClockStats` every charge is mirrored into (a
-        #: :class:`ClockDomain` points this at its group's merged stats).
-        self._mirror_stats: ClockStats | None = None
         # Scatter-gather frames: [fork_time, pending_reply_max] per level.
         self._overlap_frames: list[list[float]] = []
 
@@ -335,15 +355,6 @@ class SimClock:
             cell[1] += amount
         except KeyError:   # first charge under this key
             cells[key] = [1, amount]
-        mirror = self._mirror_stats
-        if mirror is not None:
-            cells = mirror._cells
-            try:
-                cell = cells[key]
-                cell[0] += 1
-                cell[1] += amount
-            except KeyError:
-                cells[key] = [1, amount]
         return amount
 
     def charge_run(self, primitive: str, times: int, *, scale: float = 1.0,
@@ -377,26 +388,10 @@ class SimClock:
         now = self._now
         total = cell[1]
         charged = 0.0
-        mirror = self._mirror_stats
-        if mirror is None:
-            for _ in _repeat(None, times):
-                now += amount
-                total += amount
-                charged += amount
-        else:
-            mcells = mirror._cells
-            try:
-                mcell = mcells[key]
-            except KeyError:
-                mcell = mcells[key] = [0, 0.0]
-            mtotal = mcell[1]
-            for _ in _repeat(None, times):
-                now += amount
-                total += amount
-                mtotal += amount
-                charged += amount
-            mcell[0] += times
-            mcell[1] = mtotal
+        for _ in _repeat(None, times):
+            now += amount
+            total += amount
+            charged += amount
         self._now = now
         cell[0] += times
         cell[1] = total
@@ -438,52 +433,26 @@ class SimClock:
         if cycles <= 0 or not entries:
             return
         cells = self.stats._cells
-        mirror = self._mirror_stats
-        mcells = mirror._cells if mirror is not None else None
-        # label -> [own_total, mirror_total, events_per_cycle, cell, mcell].
-        # Own and mirrored cells receive the same additions in the same
-        # order but start from different bases, so each keeps its own
-        # running accumulator.
+        # label -> [running_total, events_per_cycle, cell].
         ledger: dict[str, list] = {}
         for amount, key in entries:
             try:
-                ledger[key][2] += 1
+                ledger[key][1] += 1
             except KeyError:
                 try:
                     cell = cells[key]
                 except KeyError:
                     cell = cells[key] = [0, 0.0]
-                mcell = None
-                if mcells is not None:
-                    try:
-                        mcell = mcells[key]
-                    except KeyError:
-                        mcell = mcells[key] = [0, 0.0]
-                ledger[key] = [
-                    cell[1], mcell[1] if mcell is not None else 0.0,
-                    1, cell, mcell]
+                ledger[key] = [cell[1], 1, cell]
         now = self._now
-        if mcells is None:
-            for _ in _repeat(None, cycles):
-                for amount, key in entries:
-                    now += amount
-                    ledger[key][0] += amount
-        else:
-            for _ in _repeat(None, cycles):
-                for amount, key in entries:
-                    now += amount
-                    slot = ledger[key]
-                    slot[0] += amount
-                    slot[1] += amount
+        for _ in _repeat(None, cycles):
+            for amount, key in entries:
+                now += amount
+                ledger[key][0] += amount
         self._now = now
-        for slot in ledger.values():
-            total, mtotal, per_cycle, cell, mcell = slot
-            count = per_cycle * cycles
-            cell[0] += count
+        for total, per_cycle, cell in ledger.values():
+            cell[0] += per_cycle * cycles
             cell[1] = total
-            if mcell is not None:
-                mcell[0] += count
-                mcell[1] = mtotal
 
     def measure(self) -> "Stopwatch":
         """Return a :class:`Stopwatch` started at the current simulated time."""
@@ -558,14 +527,13 @@ class ClockDomain(SimClock):
     """One simulated node's clock inside a :class:`ClockDomainGroup`.
 
     A domain is a full :class:`SimClock` (components hold it and call
-    ``charge()``/``measure()`` unchanged) that additionally:
-
-    * mirrors every charge into the group's merged statistics, so
-      cluster-wide counts stay available no matter which node did the work;
-    * treats :meth:`advance` as *cluster* idle time -- explicit waiting
-      (editor think time, TTL expiry in tests) passes for every node, which
-      matches the old serial model; :meth:`advance_local` advances only
-      this domain.
+    ``charge()``/``measure()`` unchanged) whose charges land in its own
+    :class:`ClockStats` only -- the group's cluster-wide
+    :attr:`ClockDomainGroup.stats` is derived from them when read.  It
+    additionally treats :meth:`advance` as *cluster* idle time -- explicit
+    waiting (editor think time, TTL expiry in tests) passes for every node,
+    which matches the old serial model; :meth:`advance_local` advances only
+    this domain.
     """
 
     def __init__(self, group: "ClockDomainGroup", name: str,
@@ -573,10 +541,6 @@ class ClockDomain(SimClock):
                  units: dict | None = None):
         super().__init__(cost_model, start=start, name=name, units=units)
         self.group = group
-        # Charges mirror into the group's merged stats via the base-class
-        # ``_mirror_stats`` hook.
-        if group.stats is not self.stats:
-            self._mirror_stats = group.stats
 
     def advance(self, seconds: float) -> float:
         """Let *seconds* of idle wall time pass for the whole cluster."""
@@ -600,6 +564,9 @@ class ClockDomainGroup:
     the old serial-clock model, kept for honest A/B comparisons (e.g. the
     serial-clock rows of experiment E11).  Passing ``root`` adopts an
     existing :class:`SimClock` as that single timeline.
+
+    :attr:`stats` is a live :class:`GroupStats` view summing every domain's
+    charge counters when read; charge a domain, never the group.
     """
 
     def __init__(self, cost_model: CostModel | None = None, *,
@@ -607,8 +574,8 @@ class ClockDomainGroup:
         self.costs = cost_model if cost_model is not None else \
             (root.costs if root is not None else CostModel())
         self.serial = serial or root is not None
-        self.stats = root.stats if root is not None else ClockStats()
         self.domains: dict[str, SimClock] = {}
+        self.stats = GroupStats(self.domains)
         self._root = root
         #: Per-primitive units dict shared by every domain of this group
         #: (they all charge against the same ``self.costs``); built by the

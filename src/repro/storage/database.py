@@ -138,32 +138,8 @@ class Database:
         except KeyError:
             label = labels[primitive] = \
                 self.stats_prefix + primitive if self.stats_prefix else None
-        # ``clock.charge(...)`` written out inline (identical arithmetic,
-        # one frame fewer): _charge sits under every DDL/abort/force path.
-        try:
-            unit = clock._units[primitive]
-        except KeyError:
-            unit = getattr(clock.costs, primitive)
-        amount = unit * nbytes if nbytes else unit * times
-        amount *= self.cost_scale
-        clock._now += amount
-        key = label or primitive
-        cells = clock.stats._cells
-        try:
-            cell = cells[key]
-            cell[0] += 1
-            cell[1] += amount
-        except KeyError:
-            cells[key] = [1, amount]
-        mirror = clock._mirror_stats
-        if mirror is not None:
-            mcells = mirror._cells
-            try:
-                cell = mcells[key]
-                cell[0] += 1
-                cell[1] += amount
-            except KeyError:
-                mcells[key] = [1, amount]
+        clock.charge(primitive, times=times, nbytes=nbytes,
+                     scale=self.cost_scale, label=label)
 
     def _prime_charges(self, clock) -> None:
         """Cache the fixed statement-shaped charge amounts for *clock*.
@@ -177,16 +153,14 @@ class Database:
         applies to its fixed per-syscall charges.
         """
 
-        units = clock._units
         scale = self.cost_scale
-        self._amt_stmt = units["sql_statement_base"] * scale
-        self._amt_probe = units["index_probe"] * scale
-        self._amt_log = units["log_write"] * scale
-        self._amt_read = units["row_read"] * scale
-        self._key_stmt = self._stmt_label or "sql_statement_base"
-        self._key_probe = self._probe_label or "index_probe"
-        self._key_log = self._log_label or "log_write"
-        self._key_read = self._read_label or "row_read"
+        ((self._amt_stmt, self._key_stmt), (self._amt_probe, self._key_probe),
+         (self._amt_log, self._key_log), (self._amt_read, self._key_read)) = \
+            clock.compile_charges(
+                (("sql_statement_base", scale, self._stmt_label),
+                 ("index_probe", scale, self._probe_label),
+                 ("log_write", scale, self._log_label),
+                 ("row_read", scale, self._read_label)))
         self._primed_charge_clock = clock
 
     def _build_plan(self, table: str) -> _TablePlan:
@@ -286,15 +260,6 @@ class Database:
                 cell[1] += amount
             except KeyError:
                 cells[key] = [1, amount]
-            mirror = clock._mirror_stats
-            if mirror is not None:
-                mcells = mirror._cells
-                try:
-                    cell = mcells[key]
-                    cell[0] += 1
-                    cell[1] += amount
-                except KeyError:
-                    mcells[key] = [1, amount]
         return transaction
 
     def transaction(self, txn_id: int) -> Transaction:
@@ -340,15 +305,6 @@ class Database:
                     cell[1] += amount
                 except KeyError:
                     cells[key] = [1, amount]
-                mirror = clock._mirror_stats
-                if mirror is not None:
-                    mcells = mirror._cells
-                    try:
-                        cell = mcells[key]
-                        cell[0] += 1
-                        cell[1] += amount
-                    except KeyError:
-                        mcells[key] = [1, amount]
         txn.state = TxnState.COMMITTED
         # ``_finish`` inlined: commit is the per-transaction hot path.
         self.locks.release_all(txn.txn_id)
@@ -504,15 +460,6 @@ class Database:
                     cell[1] += amount
                 except KeyError:
                     cells[key] = [1, amount]
-                mirror = clock._mirror_stats
-                if mirror is not None:
-                    mcells = mirror._cells
-                    try:
-                        cell = mcells[key]
-                        cell[0] += 1
-                        cell[1] += amount
-                    except KeyError:
-                        mcells[key] = [1, amount]
             try:
                 plan = self._plans[table]
             except KeyError:
@@ -635,15 +582,6 @@ class Database:
                 cell[1] += amount
             except KeyError:
                 cells[key] = [1, amount]
-            mirror = clock._mirror_stats
-            if mirror is not None:
-                mcells = mirror._cells
-                try:
-                    cell = mcells[key]
-                    cell[0] += 1
-                    cell[1] += amount
-                except KeyError:
-                    mcells[key] = [1, amount]
         # ``self._plan(table)`` written out inline: the cache probe is two
         # attribute loads on the hot hit path, and select is the single
         # most-issued statement on the million-link tier.
@@ -751,15 +689,6 @@ class Database:
                         cell[1] += amount
                     except KeyError:
                         cells[key] = [1, amount]
-                    mirror = clock._mirror_stats
-                    if mirror is not None:
-                        mcells = mirror._cells
-                        try:
-                            cell = mcells[key]
-                            cell[0] += 1
-                            cell[1] += amount
-                        except KeyError:
-                            mcells[key] = [1, amount]
                 entries = plan.pk_entries
                 if entries is None:
                     bucket = plan.pk_index.bucket((where[pk_single],))
@@ -786,15 +715,6 @@ class Database:
                         cell[1] += amount
                     except KeyError:
                         cells[label] = [1, amount]
-                    mirror = clock._mirror_stats
-                    if mirror is not None:
-                        mcells = mirror._cells
-                        try:
-                            cell = mcells[label]
-                            cell[0] += 1
-                            cell[1] += amount
-                        except KeyError:
-                            mcells[label] = [1, amount]
                 key = tuple(where[column] for column in plan.pk_cols)
                 entries = plan.pk_entries
                 if entries is None:
@@ -848,15 +768,6 @@ class Database:
                     cell[1] += amount
                 except KeyError:
                     cells[key] = [1, amount]
-                mirror = clock._mirror_stats
-                if mirror is not None:
-                    mcells = mirror._cells
-                    try:
-                        cell = mcells[key]
-                        cell[0] += 1
-                        cell[1] += amount
-                    except KeyError:
-                        mcells[key] = [1, amount]
             else:
                 clock.charge_run("row_read", len(matched),
                                  scale=self.cost_scale,
@@ -904,15 +815,6 @@ class Database:
                 cell[1] += amount
             except KeyError:
                 cells[key] = [1, amount]
-            mirror = clock._mirror_stats
-            if mirror is not None:
-                mcells = mirror._cells
-                try:
-                    cell = mcells[key]
-                    cell[0] += 1
-                    cell[1] += amount
-                except KeyError:
-                    mcells[key] = [1, amount]
             clock.charge("index_probe", scale=self.cost_scale,
                          label=self._probe_label)
         mutations = plan.heap.mutations

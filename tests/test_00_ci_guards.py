@@ -42,6 +42,17 @@ REQUIRED_ENTRY_FIELDS = ("experiment_id", "title", "headers", "rows",
 #: retired debug flag had.
 MODULE_SWITCH = re.compile(r"^[A-Z_]+ *= *(True|False)\b", re.MULTILINE)
 
+#: The clock module; the only file allowed to touch clock internals freely.
+SIMCLOCK = SRC_ROOT / "repro" / "simclock.py"
+#: Reach-ins to ``SimClock`` internals that hot paths still write out
+#: inline: the backing time float (but not an object's own ``_now()``
+#: method), a stats cell dict, or the scatter-gather frames.
+CLOCK_REACH_IN = re.compile(r"\._now\b(?!\()|stats\._cells|_overlap_frames")
+#: Ratchet: the count of :data:`CLOCK_REACH_IN` matches outside
+#: ``simclock.py``.  Lower it when a change removes reach-ins; never
+#: raise it.
+MAX_CLOCK_REACH_INS = 105
+
 
 def test_every_source_file_compiles():
     """``python -m compileall src``: no syntax error hides behind an
@@ -51,17 +62,48 @@ def test_every_source_file_compiles():
         "a file under src/ failed to byte-compile (syntax error)"
 
 
+def _source_matches(pattern: re.Pattern, *, skip: Path | None = None
+                    ) -> list[str]:
+    """``path:line: match`` for every *pattern* match under ``src/``."""
+
+    return [f"{path.relative_to(REPO_ROOT)}:"
+            f"{text.count(chr(10), 0, match.start()) + 1}: {match.group(0)}"
+            for path in sorted(SRC_ROOT.rglob("*.py")) if path != skip
+            for text in [path.read_text(encoding="utf-8")]
+            for match in pattern.finditer(text)]
+
+
 def test_no_module_level_boolean_switches():
     """One code path per operation: no ``src/`` module may keep a second
     implementation behind a module-level ``NAME = True/False`` flag."""
 
-    hits = [f"{path.relative_to(REPO_ROOT)}:"
-            f"{text.count(chr(10), 0, match.start()) + 1}: {match.group(0)}"
-            for path in sorted(SRC_ROOT.rglob("*.py"))
-            for text in [path.read_text(encoding="utf-8")]
-            for match in MODULE_SWITCH.finditer(text)]
+    hits = _source_matches(MODULE_SWITCH)
     assert not hits, "module-level boolean switches found:\n" + \
         "\n".join(hits)
+
+
+def test_group_stats_are_never_mirrored():
+    """Cluster stats are derived from the domains when read: no charge
+    site may write a second copy, and no module outside ``simclock.py``
+    reads a clock's unit table (prime amounts come from
+    ``compile_charges``)."""
+
+    mirrored = _source_matches(re.compile(r"_mirror_stats"))
+    assert not mirrored, "group stats mirror found:\n" + "\n".join(mirrored)
+    units = _source_matches(re.compile(r"\._units\b"), skip=SIMCLOCK)
+    assert not units, "clock._units read outside simclock.py:\n" + \
+        "\n".join(units)
+
+
+def test_clock_reach_ins_do_not_grow():
+    """Inline reach-ins to clock internals outside ``simclock.py`` may
+    only shrink."""
+
+    hits = _source_matches(CLOCK_REACH_IN, skip=SIMCLOCK)
+    assert len(hits) <= MAX_CLOCK_REACH_INS, (
+        f"{len(hits)} clock reach-ins outside simclock.py exceed the "
+        f"ratchet of {MAX_CLOCK_REACH_INS}; charge through SimClock "
+        "instead:\n" + "\n".join(hits))
 
 
 class TestCommittedArtifactShape:

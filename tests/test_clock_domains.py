@@ -5,7 +5,8 @@ Seeded property tests for the per-node simulated-time model
 charges and merges, max-merge is commutative and idempotent, and the
 cluster wall clock (``global_now``) never regresses -- including across
 random shard interleavings of a real sharded deployment and across a
-replicated shard's failover/fail-back cycle.
+replicated shard's failover/fail-back cycle.  The group's cluster-wide
+charge statistics are the read-time sum of its domains' statistics.
 """
 
 import random
@@ -131,15 +132,124 @@ class TestDomainGroupProperties:
         group.domain("host").charge("disk_seek")
         assert group.global_now() == pytest.approx(group.domain("x").now())
 
-    def test_merged_stats_mirror_every_domain(self):
+
+def _charge_program(group, seed: int):
+    """Run a seeded random mix of ``charge``/``charge_run``/
+    ``charge_batch`` and channel traffic over *group*'s domains, creating
+    two domains only after a ``group.stats`` reference was taken.
+
+    Returns ``(early_stats_reference, {label: charges_issued})``.
+    """
+
+    from collections import Counter
+
+    from repro.ipc.channel import Channel
+    from repro.ipc.daemon import Daemon
+
+    class Worker(Daemon):
+        def __init__(self, name, clock):
+            super().__init__(name, clock)
+            self.register("work", self._work)
+
+        def _work(self, cost=1):
+            self.clock.charge("row_write", times=cost)
+            return {}
+
+    rng = random.Random(seed)
+    issued = Counter()
+    early = group.stats
+    domains = [group.domain(f"node{index}") for index in range(3)]
+    late = ["late0", "late1"]
+
+    def channel_to(domain):
+        # (channel, crosses domains): a posted message costs the sender a
+        # ``message_send`` only when the worker runs on another domain.
+        worker = Worker(f"worker-{domain.name}", domain)
+        return (Channel(worker, domains[0],
+                        latency_primitive="db_dlfm_message"),
+                domain is not domains[0])
+
+    channels = [channel_to(domain) for domain in domains[1:]]
+    for step in range(400):
+        if late and step % 150 == 149:
+            domains.append(group.domain(late.pop(0)))
+            channels.append(channel_to(domains[-1]))
+        domain = rng.choice(domains)
+        action = rng.randrange(5)
+        if action == 0:
+            primitive = rng.choice(PRIMITIVES)
+            label = rng.choice([None, f"dlfm.{primitive}"])
+            domain.charge(primitive, times=rng.randrange(1, 4), label=label)
+            issued[label or primitive] += 1
+        elif action == 1:
+            primitive = rng.choice(PRIMITIVES)
+            times = rng.randrange(0, 6)
+            domain.charge_run(primitive, times, scale=0.5)
+            if times:
+                issued[primitive] += times
+        elif action == 2:
+            events = [(rng.choice(PRIMITIVES), rng.choice([1.0, 0.1]),
+                       rng.choice([None, "batched"]))
+                      for _ in range(rng.randrange(1, 4))]
+            cycles = rng.randrange(0, 5)
+            domain.charge_batch(domain.compile_charges(events), cycles)
+            for primitive, _, label in events:
+                if cycles:
+                    issued[label or primitive] += cycles
+        else:
+            channel, cross = rng.choice(channels)
+            cost = rng.randrange(1, 3)
+            if action == 3:
+                channel.request("work", cost=cost)
+            else:
+                channel.post("work", cost=cost)
+                if cross:
+                    issued["message_send"] += 1
+            issued["db_dlfm_message"] += 1
+            issued["daemon_dispatch"] += 1
+            issued["row_write"] += 1
+    assert not late
+    return early, issued
+
+
+class TestGroupStatsAreDerived:
+    """``ClockDomainGroup.stats`` is a live read-time sum over the group's
+    domains: counts are exact, totals are the domain totals summed, and a
+    reference taken before any work sees everything done afterwards."""
+
+    @pytest.mark.parametrize("seed", [3, 20261018, 777])
+    def test_group_stats_sum_every_domain(self, seed):
         group = ClockDomainGroup(CostModel())
-        group.domain("a").charge("row_write")
-        group.domain("b").charge("row_write", label="dlfm.row_write")
-        assert group.stats.count("row_write") == 1
-        assert group.stats.count("dlfm.row_write") == 1
+        early, issued = _charge_program(group, seed)
+        stats = group.stats
+        assert set(stats.labels()) == set(issued)
+        for label, count in issued.items():
+            assert stats.count(label) == count, label
+            assert early.count(label) == count, label
+            assert stats.total(label) == sum(
+                domain.stats.total(label)
+                for domain in group.domains.values()), label
+        assert early.total_count() == sum(issued.values())
+        assert early.as_dict() == stats.as_dict()
         by_domain = group.stats_by_domain()
-        assert by_domain["a"]["row_write"]["count"] == 1
-        assert by_domain["b"]["dlfm.row_write"]["count"] == 1
+        assert {"late0", "late1"} <= set(by_domain)
+        assert sum(cells.get("row_write", {}).get("count", 0)
+                   for cells in by_domain.values()) == issued["row_write"]
+
+    @pytest.mark.parametrize("seed", [3, 20261018, 777])
+    def test_single_timeline_groups_report_that_timeline(self, seed):
+        serial = ClockDomainGroup(CostModel(), serial=True)
+        early, issued = _charge_program(serial, seed)
+        timeline = serial.domain("any")
+        assert early.charges == timeline.stats.charges
+        assert early.total_count() == sum(issued.values())
+
+        root = SimClock(CostModel())
+        adopted = ClockDomainGroup(root=root)
+        early, issued = _charge_program(adopted, seed)
+        assert adopted.domain("any") is root
+        assert early.charges == root.stats.charges
+        assert early.total_count() == sum(issued.values())
 
 
 class TestShardedDeploymentTime:
